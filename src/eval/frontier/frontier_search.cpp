@@ -5,51 +5,13 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "core/synpf.hpp"
-#include "eval/postmortem.hpp"
-#include "fault/faulted_localizer.hpp"
-#include "fault/pipeline.hpp"
-#include "governor/governor.hpp"
-#include "recovery/supervised_localizer.hpp"
-#include "slam/pure_localization.hpp"
-#include "telemetry/flight_recorder.hpp"
+#include "eval/stack.hpp"
 #include "telemetry/telemetry.hpp"
 #include "track/raceline.hpp"
 
 namespace srl::frontier {
 
 namespace {
-
-constexpr const char* kRecoverySuffix = "+Recovery";
-
-bool wants_recovery(const std::string& kind) {
-  const std::string suffix{kRecoverySuffix};
-  return kind.size() > suffix.size() &&
-         kind.compare(kind.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-std::string base_kind(const std::string& kind) {
-  return wants_recovery(kind)
-             ? kind.substr(0, kind.size() - std::string{kRecoverySuffix}.size())
-             : kind;
-}
-
-std::unique_ptr<Localizer> make_localizer(
-    const std::string& kind, const std::shared_ptr<const OccupancyGrid>& map,
-    const LidarConfig& lidar, const FrontierSearchConfig& config) {
-  if (kind == "SynPF") {
-    SynPfConfig cfg;
-    cfg.range = RangeMethodKind::kCddt;  // fast construction per probe
-    cfg.filter.n_particles = config.n_particles;
-    cfg.filter.n_threads = config.cell_threads;
-    return std::make_unique<SynPf>(cfg, map, lidar);
-  }
-  if (kind == "CartoLite") {
-    return std::make_unique<CartoLocalizer>(PureLocalizationOptions{}, map,
-                                            lidar);
-  }
-  return nullptr;
-}
 
 /// One closed-loop probe: race `localizer_kind` through `scenario` on the
 /// prebuilt track. When `blackboxes` is non-null (the defining-failure
@@ -64,124 +26,46 @@ FrontierEvaluation closed_loop_probe(
   eval.index = scenario.index;
   eval.severity = scenario.severity;
 
-  ExperimentConfig experiment = config.experiment;
-  fault::FaultPipeline pipeline{config.fault_seed, experiment.lidar};
-  if (scenario.severity > 0.0) {
-    pipeline.add(fault::make_injector(scenario.axis, scenario.profile));
-  }
-
-  std::unique_ptr<Localizer> localizer =
-      make_localizer(base_kind(localizer_kind), map, experiment.lidar, config);
-  if (localizer == nullptr) {
+  StackSpec spec;
+  if (!parse_stack_kind(localizer_kind, spec)) {
     eval.failed = true;  // unknown kind: permanently broken combination
     return eval;
   }
-  fault::FaultedLocalizer faulted{*localizer, pipeline};
-
-  std::unique_ptr<recovery::SupervisedLocalizer> supervised;
-  Localizer* subject = &faulted;
-  if (wants_recovery(localizer_kind)) {
-    supervised = std::make_unique<recovery::SupervisedLocalizer>(
-        faulted, recovery::SupervisedLocalizerConfig{}, map, experiment.lidar);
-    if (auto* synpf = dynamic_cast<SynPf*>(localizer.get())) {
-      supervised->bind_filter(&synpf->filter());
-    }
-    subject = supervised.get();
+  // The replay key is the track and fault recipe; the stack rebuilds the
+  // sampled envelope from it, as `tools/postmortem --replay` does.
+  spec.track = ScenarioSampler::replay_recipe(scenario.seed, scenario.index);
+  spec.n_particles = config.n_particles;
+  spec.threads = config.cell_threads;
+  spec.fault = scenario.axis;
+  spec.severity = scenario.severity;
+  spec.fault_seed = config.fault_seed;
+  // compute_pressure attacks a declared budget, not the sensors: a kind
+  // that names no governor races it inside a budget *enforcer* (the fixed
+  // workload fits the squeezed budget or the update drops), so severity
+  // maps onto dropped updates and, past the frontier, divergence.
+  if (spec.governor == GovernorMode::kNone &&
+      scenario.axis == "compute_pressure") {
+    spec.governor = GovernorMode::kEnforce;
   }
+  if (spec.governor != GovernorMode::kNone) spec.budget_ms = config.budget_ms;
 
-  // The compute-pressure axis attacks a declared budget, not the sensor
-  // stream: those probes race inside a budget-*enforcing* governor (no
-  // shedding — the fixed workload either fits the squeezed budget or the
-  // update drops), so severity maps onto dropped updates and, past the
-  // frontier, divergence. Every other axis runs ungoverned.
-  std::unique_ptr<governor::GovernedLocalizer> governed;
-  if (scenario.axis == "compute_pressure") {
-    governor::GovernorConfig gcfg;
-    gcfg.budget_ms = config.budget_ms;
-    gcfg.shed = false;
-    gcfg.adaptive = false;
-    gcfg.nominal_cost_units = governor::kCartoNominalCostUnits;
-    governed = std::make_unique<governor::GovernedLocalizer>(*subject, gcfg);
-    if (auto* synpf = dynamic_cast<SynPf*>(localizer.get())) {
-      governed->bind_filter(&synpf->filter());
-    }
-    governed->bind_pressure(&pipeline);
-    if (supervised != nullptr) governed->bind_supervisor(supervised.get());
-    subject = governed.get();
-  }
-
-  telemetry::Telemetry telemetry;
-  telemetry::Sink sink;
-  std::unique_ptr<telemetry::FlightRecorder> recorder;
+  StackRecording recording;
   if (blackboxes != nullptr && !config.blackbox_dir.empty()) {
-    telemetry::FlightRecorderConfig rcfg;
-    rcfg.dump_dir = config.blackbox_dir;
-    rcfg.label = localizer_kind + "-" + scenario.label();
-    recorder =
-        std::make_unique<telemetry::FlightRecorder>(rcfg, &telemetry.events);
-
-    // Rebuild recipe: the frontier replay key *is* the track and fault
-    // recipe — `tools/postmortem --replay` resamples the scenario from
-    // (seed, index) and reconstructs the identical stack.
-    PostmortemStackSpec spec;
-    spec.track = ScenarioSampler::replay_recipe(scenario.seed, scenario.index);
-    spec.localizer = localizer_kind;
-    spec.n_particles = config.n_particles;
-    spec.threads = config.cell_threads;
-    spec.range = "cddt";
-    spec.beams = SynPfConfig{}.beams;
-    spec.pf_seed = SynPfConfig{}.seed;
-    spec.fault = scenario.axis;
-    spec.severity = scenario.severity;
-    spec.fault_seed = config.fault_seed;
-    if (governed != nullptr) {
-      spec.governor = "enforce";
-      spec.budget_ms = config.budget_ms;
-    }
-    json::Value provenance = json::Value::object();
-    provenance.set("stack", stack_spec_to_json(spec));
-    provenance.set("scenario", json::Value::string(scenario.label()));
-    recorder->set_provenance(std::move(provenance));
-
-    SynPf* synpf = dynamic_cast<SynPf*>(localizer.get());
-    recovery::SupervisedLocalizer* sup = supervised.get();
-    fault::FaultedLocalizer* flt = &faulted;
-    const std::size_t top_k = rcfg.top_k;
-    recorder->set_tick_probe(
-        [synpf, sup, flt, top_k](telemetry::TickSnapshot& snap) {
-          if (synpf != nullptr) {
-            ParticleFilter& pf = synpf->filter();
-            snap.ess_fraction = pf.health().ess_fraction;
-            snap.weight_entropy = pf.health().weight_entropy;
-            snap.injection_prob = pf.recovery_injection_prob();
-            snap.digest.clear();
-            for (const Particle& p : pf.top_particles(top_k)) {
-              snap.digest.push_back(p.pose.x);
-              snap.digest.push_back(p.pose.y);
-              snap.digest.push_back(p.pose.theta);
-              snap.digest.push_back(p.weight);
-            }
-          }
-          if (sup != nullptr) {
-            snap.health_state = static_cast<int>(sup->state());
-            snap.latch_mask = sup->detector().latch_mask();
-            snap.alignment = sup->last_alignment();
-          }
-          snap.fault_level = flt->last_fault_level();
-        });
-    sink.recorder = recorder.get();
+    recording.dump_dir = config.blackbox_dir;
+    recording.label = localizer_kind + "-" + scenario.label();
+    recording.provenance.set("scenario",
+                             json::Value::string(scenario.label()));
   }
+  const StackRun run = run_stack(spec, track, map, config.experiment,
+                                 telemetry::Sink{}, recording);
 
-  ExperimentRunner runner{track, experiment};
-  const ExperimentResult result = runner.run(*subject, nullptr, sink);
-
-  eval.crashed = result.crashed;
-  eval.divergence_episodes = result.divergence_episodes;
-  eval.recoveries = result.recoveries;
-  eval.lateral_mean_cm = result.lateral_mean_cm;
-  eval.final_pose_error_m = result.final_pose_error_m;
-  eval.failed = result.crashed || !result.recovered;
-  if (recorder != nullptr) *blackboxes = recorder->dump_paths();
+  eval.crashed = run.result.crashed;
+  eval.divergence_episodes = run.result.divergence_episodes;
+  eval.recoveries = run.result.recoveries;
+  eval.lateral_mean_cm = run.result.lateral_mean_cm;
+  eval.final_pose_error_m = run.result.final_pose_error_m;
+  eval.failed = run.result.crashed || !run.result.recovered;
+  if (!recording.dump_dir.empty()) *blackboxes = run.blackboxes;
   return eval;
 }
 
@@ -319,27 +203,23 @@ FrontierResult run_frontier_search(const FrontierSearchConfig& config) {
     double length_m{0.0};
     double max_abs_curvature{0.0};
   };
-  std::vector<int> class_slot(frontier_track_classes().size(), -1);
-  std::vector<ClassContext> contexts;
+  const std::vector<std::string>& classes = frontier_track_classes();
+  std::vector<ClassContext> contexts(classes.size());
   for (const int tc : config.track_classes) {
-    if (class_slot[static_cast<std::size_t>(tc)] >= 0) continue;
+    ClassContext& ctx = contexts[static_cast<std::size_t>(tc)];
+    if (ctx.map != nullptr) continue;
     ScenarioKey key;
     key.track_class = tc;
     key.variant = config.variant;
-    ClassContext ctx;
     ctx.track = sampler.build_track(sampler.sample(key.pack()));
     ctx.map = std::make_shared<const OccupancyGrid>(ctx.track.grid);
     const Raceline raceline{ctx.track.centerline};
     ctx.length_m = raceline.length();
     ctx.max_abs_curvature = raceline.max_abs_curvature();
-    class_slot[static_cast<std::size_t>(tc)] =
-        static_cast<int>(contexts.size());
-    contexts.push_back(std::move(ctx));
   }
 
   const auto context_of = [&](const Combo& combo) -> const ClassContext& {
-    return contexts[static_cast<std::size_t>(
-        class_slot[static_cast<std::size_t>(combo.track_class)])];
+    return contexts[static_cast<std::size_t>(combo.track_class)];
   };
   FrontierResult result = run_search_impl(
       config,
@@ -363,12 +243,9 @@ FrontierResult run_frontier_search(const FrontierSearchConfig& config) {
       });
 
   for (FrontierPoint& point : result.points) {
-    const std::size_t tc = static_cast<std::size_t>(std::distance(
-        frontier_track_classes().begin(),
-        std::find(frontier_track_classes().begin(),
-                  frontier_track_classes().end(), point.track_class)));
-    const ClassContext& ctx =
-        contexts[static_cast<std::size_t>(class_slot[tc])];
+    const ClassContext& ctx = contexts[static_cast<std::size_t>(
+        std::find(classes.begin(), classes.end(), point.track_class) -
+        classes.begin())];
     point.track_length_m = ctx.length_m;
     point.track_max_abs_curvature = ctx.max_abs_curvature;
   }

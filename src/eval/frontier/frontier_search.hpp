@@ -40,15 +40,15 @@ struct FrontierSearchConfig {
   std::uint64_t seed = 0xF407;
   /// FaultPipeline seed of every probe (decoupled, like the bench matrix).
   std::uint64_t fault_seed = 0x7a017ULL;
-  /// Localizer kinds under test (scenario_matrix vocabulary: "SynPF",
-  /// "CartoLite", optional "+Recovery" suffix).
+  /// Localizer kinds under test, in the stack grammar of eval/stack.hpp:
+  /// `Base[+Recovery][+Governor|+Budget]`.
   std::vector<std::string> localizers{"SynPF", "CartoLite"};
   /// Fault-axis ids (frontier_axes() order). Empty = all nine.
   std::vector<int> axes{};
-  /// Declared per-update budget for `compute_pressure` probes: those
-  /// scenarios race inside a budget-enforcing governor (PR-10), so the
-  /// axis bites — pressure squeezes this budget until updates drop and
-  /// the stack diverges. Other axes never construct a governor.
+  /// Per-update budget of every governed probe. A kind naming no governor
+  /// races `compute_pressure` inside a budget *enforcer* (pressure squeezes
+  /// this budget until updates drop and the stack diverges) and every other
+  /// axis ungoverned; a kind's own `+Governor`/`+Budget` holds on all axes.
   double budget_ms = 2.0;
   /// Track-class ids (frontier_track_classes() order).
   std::vector<int> track_classes{0};

@@ -5,11 +5,11 @@
 /// analysis half of the flight recorder (telemetry/flight_recorder.hpp).
 ///
 /// A black-box artifact (`srl.blackbox/1` JSON + `.srlt` sensor-trace
-/// sidecar) is self-contained: it carries the stack recipe (which localizer,
-/// how many particles, which range backend, which fault scenario and seeds),
-/// the start pose, the event timeline, and the FNV-1a hash over every
-/// estimate the run produced up to the dump. `replay_blackbox` rebuilds the
-/// exact localizer stack from the recipe, re-drives the captured sensor
+/// sidecar) is self-contained: it carries the stack recipe (the `StackSpec`
+/// the run was built from, eval/stack.hpp), the start pose, the event
+/// timeline, and the FNV-1a hash over every estimate the run produced up to
+/// the dump. `replay_blackbox` rebuilds the stack from the recipe with the
+/// same `build_stack` the harnesses use, re-drives the captured sensor
 /// stream through it, and checks the replayed estimate-trajectory hash
 /// against the recorded one — a *bitwise* reproduction oracle, valid at any
 /// thread count because the whole filter stack is thread-count invariant.
@@ -23,46 +23,11 @@
 
 #include "common/json.hpp"
 #include "common/types.hpp"
+#include "eval/stack.hpp"
 #include "eval/trace.hpp"
 #include "telemetry/events.hpp"
 
 namespace srl {
-
-/// Rebuild recipe for the localizer stack that produced a black box. The
-/// harness (scenario matrix, tests) serializes this into the recorder's
-/// provenance under `"stack"`; `replay_blackbox` reconstructs from it.
-struct PostmortemStackSpec {
-  /// Track recipe: "test_track", "hairpin", "oval:<straight>,<radius>"
-  /// (default TrackSpec geometry in all cases), or a frontier replay key
-  /// "frontier:<seed>:<index>" — the sampled circuit AND the sampled fault
-  /// envelope both rebuild from it (eval/frontier/scenario_sampler.hpp),
-  /// overriding the canonical `fault`/`severity` pipeline below.
-  std::string track{"test_track"};
-  /// Localizer kind, same vocabulary as ScenarioMatrixConfig::localizers:
-  /// "SynPF", "CartoLite", or a "+Recovery"-suffixed supervised variant.
-  std::string localizer{"SynPF"};
-  int n_particles{1200};
-  int threads{1};
-  /// Range backend: "bresenham", "ray_marching", "cddt", or "lut".
-  std::string range{"cddt"};
-  int beams{60};
-  std::uint64_t pf_seed{42};
-  /// Fault scenario ("none"/"kidnap" add no pipeline stage — a kidnap
-  /// corrupts the truth, not the sensors, and is already baked into the
-  /// captured stream).
-  std::string fault{"none"};
-  double severity{0.0};
-  std::uint64_t fault_seed{0x7a017ULL};
-  /// Compute-governor wrapper (src/governor): "" none, "govern" shedding
-  /// mode, "enforce" budget-enforcer mode. Absent in pre-governor black
-  /// boxes — both fields default to the ungoverned stack, so old artifacts
-  /// parse and replay unchanged.
-  std::string governor{};
-  double budget_ms{0.0};
-};
-
-json::Value stack_spec_to_json(const PostmortemStackSpec& spec);
-bool stack_spec_from_json(const json::Value& v, PostmortemStackSpec& out);
 
 /// One parsed black-box artifact.
 struct Blackbox {
@@ -76,8 +41,9 @@ struct Blackbox {
   std::uint64_t sim_seed{0};
   std::string sim_rng_state;
   bool crashed{false};
-  PostmortemStackSpec stack{};
+  StackSpec stack{};  ///< rebuild recipe (eval/stack.hpp)
   bool has_stack{false};
+  std::string stack_error;  ///< why a present recipe was rejected at load
   json::Value provenance{json::Value::object()};
   std::vector<telemetry::Event> events;
   std::uint64_t events_total{0};

@@ -39,13 +39,13 @@ struct ScenarioSpec {
 };
 
 struct ScenarioMatrixConfig {
-  /// Localizer kinds the grid compares; understood: "SynPF", "CartoLite",
-  /// "SynPF+Recovery" (SynPF wrapped in a SupervisedLocalizer with the
-  /// default detector/policy stack, canonical supervised-outside-faulted
-  /// composition), and the governed variants "<kind>+Governor" (compute
-  /// governor in shedding mode, outermost) / "<kind>+Budget" (same budget
-  /// but *enforcer* mode: fixed workload, over-budget updates are dropped —
-  /// the ungoverned baseline the degradation headline compares against).
+  /// Localizer kinds the grid compares, in the stack grammar of
+  /// eval/stack.hpp: `Base[+Recovery][+Governor|+Budget]`. `+Recovery` wraps
+  /// the faulted base in a SupervisedLocalizer; `+Governor` adds the compute
+  /// governor in shedding mode, outermost; `+Budget` the same budget in
+  /// *enforcer* mode (fixed workload, over-budget updates are dropped — the
+  /// ungoverned baseline the degradation headline compares against). A kind
+  /// outside the grammar leaves its cells zeroed.
   std::vector<std::string> localizers{"SynPF", "CartoLite"};
   /// Scenarios. Besides the fault-factory names (fault/injector.hpp) the
   /// matrix understands the pseudo-fault "kidnap": no pipeline stage; the
@@ -76,9 +76,9 @@ struct ScenarioMatrixConfig {
   /// then run the exact pre-recorder hot path (bitwise no-op guarantee).
   std::string blackbox_dir{};
   /// Track recipe stamped into each black box's rebuild provenance
-  /// (PostmortemStackSpec::track). Must name the track `run()` is given.
+  /// (StackSpec::track). Must name the track `run()` is given.
   std::string track_name{"test_track"};
-  /// Per-update latency budget for "+Governor"/"+Budget" cells, ms
+  /// Per-update latency budget for `+Governor`/`+Budget` cells, ms
   /// (src/governor virtual-cost accounting; benches override this from
   /// SRL_BUDGET_MS). Ignored by ungoverned localizer kinds.
   double budget_ms = 2.0;

@@ -271,6 +271,23 @@ TEST(FrontierSearch, CleanFailureIsDegenerate) {
   EXPECT_EQ(result.points[0].breaking_severity, 0.0);
 }
 
+// A kind that names its own governor is raced closed loop like any other
+// kind, not scored as unknown (which fails every probe and reads as
+// degenerate).
+TEST(FrontierSearch, GovernedKindIsNotDegenerate) {
+  FrontierSearchConfig config = FrontierSearchConfig::smoke();
+  config.localizers = {"SynPF+Governor"};
+  config.axes = {0};  // odom_slip_ramp
+  config.bisect_iterations = 0;
+  config.experiment.max_sim_time = 20.0;
+  const FrontierResult result = run_frontier_search(config);
+  ASSERT_EQ(result.points.size(), 1u);
+  const FrontierPoint& point = result.points[0];
+  EXPECT_FALSE(point.degenerate);
+  ASSERT_FALSE(point.evaluations.empty());
+  EXPECT_FALSE(point.evaluations.back().failed);
+}
+
 TEST(FrontierSearch, ProbeSequenceIsDeterministicAndThreadInvariant) {
   FrontierSearchConfig config;
   config.localizers = {"SynPF", "CartoLite"};

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "eval/frontier/frontier_search.hpp"
 #include "eval/scenario_matrix.hpp"
+#include "eval/stack.hpp"
 #include "gridmap/track_generator.hpp"
 #include "telemetry/flight_recorder.hpp"
 
@@ -134,7 +136,7 @@ TEST_F(PostmortemPipeline, KidnapDumpsAndReplaysBitwise) {
   ASSERT_TRUE(box.has_value());
   EXPECT_EQ(box->reason, "divergence");
   ASSERT_TRUE(box->has_stack);
-  EXPECT_EQ(box->stack.localizer, "SynPF+Recovery");
+  EXPECT_EQ(stack_kind(box->stack), "SynPF+Recovery");
   EXPECT_EQ(box->stack.track, "oval:8,2.5");
   ASSERT_TRUE(box->has_trace);
   EXPECT_GT(box->ticks, 0u);
@@ -191,31 +193,215 @@ TEST_F(PostmortemPipeline, RecorderOffIsBitwiseNoOp) {
   std::filesystem::remove_all(dir);
 }
 
+// Replays `path` at its recorded lane count and at 4 lanes.
+void expect_replays_bitwise(const std::string& path) {
+  const std::optional<Blackbox> box = load_blackbox(path);
+  ASSERT_TRUE(box.has_value()) << path;
+  ASSERT_TRUE(box->has_stack) << path;
+  for (const int threads : {0, 4}) {
+    const PostmortemReplay replay = replay_blackbox(*box, threads);
+    ASSERT_TRUE(replay.ok) << path << ": " << replay.error;
+    EXPECT_TRUE(replay.bitwise_match)
+        << path << " at " << threads << " lanes: " << replay.error;
+  }
+}
+
+// A governed CartoLite has no filter to bind, so its governor accounts the
+// pinned nominal cost per update. At 0.5 ms every update is over budget;
+// a replay that forgot the nominal cost would run budget-blind.
+TEST(PostmortemReplay, GovernedCartoLiteMatrixBoxReplaysBitwise) {
+  const std::string dir =
+      (std::filesystem::path{::testing::TempDir()} / "srl_bb_carto_budget")
+          .string();
+  std::filesystem::remove_all(dir);
+  ScenarioMatrixConfig config;
+  config.localizers = {"CartoLite+Budget"};
+  config.scenarios = {{"compute_pressure", 0.8}};
+  config.budget_ms = 0.5;
+  config.experiment.laps = 2;
+  config.experiment.max_sim_time = 60.0;
+  config.track_name = "oval:8,2.5";
+  config.blackbox_dir = dir;
+  const std::vector<ScenarioCell> cells =
+      ScenarioMatrix{config}.run(TrackGenerator::oval(8.0, 2.5));
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_GT(cells[0].deadline_misses, 0u);
+  ASSERT_FALSE(cells[0].blackboxes.empty());
+  for (const std::string& path : cells[0].blackboxes) {
+    expect_replays_bitwise(path);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The frontier races a bare kind inside a budget enforcer on the
+// compute_pressure axis; its defining-failure box must rebuild that
+// governor, sampled envelope and all.
+TEST(PostmortemReplay, FrontierDefiningFailureBoxReplaysBitwise) {
+  const std::string dir =
+      (std::filesystem::path{::testing::TempDir()} / "srl_bb_frontier")
+          .string();
+  std::filesystem::remove_all(dir);
+  frontier::FrontierSearchConfig config =
+      frontier::FrontierSearchConfig::smoke();
+  config.localizers = {"CartoLite"};
+  config.axes = {8};  // compute_pressure
+  config.bisect_iterations = 0;
+  config.blackbox_dir = dir;
+  const frontier::FrontierResult result = frontier::run_frontier_search(config);
+  ASSERT_EQ(result.points.size(), 1u);
+  const frontier::FrontierPoint& point = result.points[0];
+  ASSERT_FALSE(point.censored);
+  ASSERT_FALSE(point.blackboxes.empty());
+  for (const std::string& path : point.blackboxes) {
+    expect_replays_bitwise(dir + "/" + path);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(StackSpec, JsonRoundTrip) {
-  PostmortemStackSpec spec;
+  StackSpec spec;
   spec.track = "oval:8,2.5";
-  spec.localizer = "SynPF+Recovery";
+  spec.recovery = true;
   spec.n_particles = 777;
   spec.threads = 4;
-  spec.range = "lut";
+  spec.range = RangeMethodKind::kLut;
   spec.beams = 42;
   spec.pf_seed = 99;
   spec.fault = "lidar_dropout";
   spec.severity = 0.5;
   spec.fault_seed = 0xabcdefULL;
 
-  PostmortemStackSpec back;
-  ASSERT_TRUE(stack_spec_from_json(stack_spec_to_json(spec), back));
-  EXPECT_EQ(back.track, spec.track);
-  EXPECT_EQ(back.localizer, spec.localizer);
-  EXPECT_EQ(back.n_particles, spec.n_particles);
-  EXPECT_EQ(back.threads, spec.threads);
-  EXPECT_EQ(back.range, spec.range);
-  EXPECT_EQ(back.beams, spec.beams);
-  EXPECT_EQ(back.pf_seed, spec.pf_seed);
-  EXPECT_EQ(back.fault, spec.fault);
-  EXPECT_EQ(back.severity, spec.severity);
-  EXPECT_EQ(back.fault_seed, spec.fault_seed);
+  StackSpec governed = spec;
+  governed.base = BaseLocalizer::kCartoLite;
+  governed.governor = GovernorMode::kEnforce;
+  governed.budget_ms = 0.5;
+  // A seed above 2^53: a JSON double would round its low bits away.
+  StackSpec wide_seed = spec;
+  wide_seed.fault_seed = 0x9E3779B97F4A7C15ULL;
+  wide_seed.pf_seed = ~0ULL;
+
+  for (const StackSpec& in : {spec, governed, wide_seed}) {
+    StackSpec back;
+    std::string error;
+    ASSERT_TRUE(stack_spec_from_json(stack_spec_to_json(in), back, &error))
+        << error;
+    EXPECT_EQ(back, in) << stack_spec_to_json(in).dump(0);
+  }
+}
+
+TEST(StackSpec, ReadsNumericSeedsOfOlderBoxes) {
+  json::Value v = stack_spec_to_json(StackSpec{});
+  v.set("pf_seed", json::Value::number(99.0));
+  v.set("fault_seed", json::Value::number(static_cast<double>(0x7a017)));
+  StackSpec back;
+  ASSERT_TRUE(stack_spec_from_json(v, back));
+  EXPECT_EQ(back.pf_seed, 99u);
+  EXPECT_EQ(back.fault_seed, 0x7a017u);
+}
+
+// Older frontier boxes name a bare kind plus a separate governor member.
+TEST(StackSpec, GovernorMemberAddsTheGovernorABareKindOmits) {
+  json::Value v = stack_spec_to_json(StackSpec{});
+  v.set("localizer", json::Value::string("CartoLite"));
+  v.set("governor", json::Value::string("enforce"));
+  v.set("budget_ms", json::Value::number(2.0));
+  StackSpec back;
+  ASSERT_TRUE(stack_spec_from_json(v, back));
+  EXPECT_EQ(stack_kind(back), "CartoLite+Budget");
+  EXPECT_EQ(back.budget_ms, 2.0);
+}
+
+TEST(StackSpec, KindGrammarRoundTripsEveryConfiguredKind) {
+  std::vector<std::string> kinds = ScenarioMatrix::smoke_config().localizers;
+  for (const auto& list :
+       {ScenarioMatrix::full_config().localizers,
+        frontier::FrontierSearchConfig::smoke().localizers,
+        // bench_budget_sweep's grid
+        std::vector<std::string>{"SynPF+Governor", "SynPF+Budget",
+                                 "CartoLite+Budget"}}) {
+    kinds.insert(kinds.end(), list.begin(), list.end());
+  }
+  for (const std::string& kind : kinds) {
+    StackSpec spec;
+    ASSERT_TRUE(parse_stack_kind(kind, spec)) << kind;
+    EXPECT_EQ(stack_kind(spec), kind);
+  }
+
+  // parse(print(s)) == s over the whole grammar.
+  for (const BaseLocalizer base :
+       {BaseLocalizer::kSynPf, BaseLocalizer::kCartoLite}) {
+    for (const bool recovery : {false, true}) {
+      for (const GovernorMode governor :
+           {GovernorMode::kNone, GovernorMode::kGovern,
+            GovernorMode::kEnforce}) {
+        StackSpec spec;
+        spec.base = base;
+        spec.recovery = recovery;
+        spec.governor = governor;
+        StackSpec back;
+        ASSERT_TRUE(parse_stack_kind(stack_kind(spec), back));
+        EXPECT_EQ(back, spec) << stack_kind(spec);
+      }
+    }
+  }
+
+  StackSpec untouched;
+  for (const char* bad :
+       {"", "SynPF+", "+Recovery", "synpf", "SynPF+Budget+Recovery",
+        "SynPF+Governor+Budget", "SynPF+Recovery+Recovery", "AMCL"}) {
+    EXPECT_FALSE(parse_stack_kind(bad, untouched)) << bad;
+  }
+  EXPECT_EQ(untouched, StackSpec{});
+}
+
+TEST(StackSpec, FromJsonRejectsBadRecipesWithAReason) {
+  struct Row {
+    const char* key;
+    json::Value value;
+    const char* reason;  ///< substring of the reported error
+  };
+  const std::vector<Row> rows = {
+      {"localizer", json::Value::string("AMCL"), "unknown localizer kind"},
+      {"localizer", json::Value::number(1.0), "localizer must be a string"},
+      {"n_particles", json::Value::number(0.0), "n_particles"},
+      {"n_particles", json::Value::number(-5.0), "n_particles"},
+      {"n_particles", json::Value::number(12.5), "n_particles"},
+      {"n_particles", json::Value::number(1e12), "n_particles"},
+      {"n_particles", json::Value::string("800"), "n_particles"},
+      {"threads", json::Value::number(0.0), "threads"},
+      {"beams", json::Value::number(3e9), "beams"},
+      {"range", json::Value::string("raymarch"), "unknown range backend"},
+      {"governor", json::Value::string("shed"), "unknown governor mode"},
+      {"governor", json::Value::string("govern"), "contradicts kind"},
+      {"budget_ms", json::Value::number(-1.0), "budget_ms"},
+      {"severity", json::Value::string("high"), "severity"},
+      {"pf_seed", json::Value::number(-1.0), "pf_seed"},
+      {"pf_seed", json::Value::number(0.5), "pf_seed"},
+      {"fault_seed", json::Value::string("0xZZ"), "fault_seed"},
+      {"fault_seed", json::Value::string("0x1234567890abcdef0"), "fault_seed"},
+  };
+  StackSpec enforced;
+  enforced.governor = GovernorMode::kEnforce;
+  enforced.budget_ms = 2.0;
+  for (const Row& row : rows) {
+    json::Value v = stack_spec_to_json(enforced);
+    v.set(row.key, row.value);
+    StackSpec out;
+    std::string error;
+    EXPECT_FALSE(stack_spec_from_json(v, out, &error))
+        << row.key << "=" << row.value.dump(0);
+    EXPECT_NE(error.find(row.reason), std::string::npos)
+        << row.key << ": got \"" << error << "\"";
+    EXPECT_EQ(out, StackSpec{}) << row.key;
+  }
+
+  std::string error;
+  StackSpec out;
+  EXPECT_FALSE(stack_spec_from_json(json::Value::array(), out, &error));
+  EXPECT_FALSE(error.empty());
+  json::Value no_kind = stack_spec_to_json(StackSpec{});
+  no_kind.set("localizer", json::Value::string(""));
+  EXPECT_FALSE(stack_spec_from_json(no_kind, out, &error));
 }
 
 TEST(Blackbox, LoadRejectsWrongSchemaAndMissingFile) {
