@@ -21,7 +21,6 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "eval/benchmark_json.hpp"
 #include "eval/frontier/frontier_json.hpp"
 #include "eval/frontier/frontier_search.hpp"
 #include "eval/table.hpp"
@@ -118,15 +117,8 @@ int main(int argc, char** argv) {
                       : "WARNING: frontier headline NOT reproduced\n");
   }
 
-  doc.provenance.compiler = compiler_id();
-#ifdef NDEBUG
-  doc.provenance.build = "release";
-#else
-  doc.provenance.build = "debug";
-#endif
-  const char* sha = std::getenv("SRL_GIT_SHA");
-  doc.provenance.git_sha = sha != nullptr ? sha : "";
-  doc.provenance.fast_mode = fast_mode();
+  doc.provenance = BuildInfo::current();
+  doc.fast_mode = fast_mode();
 
   if (!write_frontier_json(out_file, doc)) {
     std::cerr << "FAILED to write " << out_file << "\n";

@@ -32,6 +32,7 @@
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
+#include "common/fingerprint.hpp"
 #include "common/simd.hpp"
 #include "eval/dead_reckoning.hpp"
 #include "eval/table.hpp"
@@ -182,14 +183,7 @@ int main(int argc, char** argv) {
   if (simd::cpu_has_avx2()) backends.push_back(simd::Backend::kAvx2);
 
   ThroughputDocument doc;
-  doc.provenance.compiler = compiler_id();
-#ifdef NDEBUG
-  doc.provenance.build = "release";
-#else
-  doc.provenance.build = "debug";
-#endif
-  const char* sha = std::getenv("SRL_GIT_SHA");
-  doc.provenance.git_sha = sha != nullptr ? sha : "";
+  static_cast<BuildInfo&>(doc.provenance) = BuildInfo::current();
   doc.provenance.seed = trace_seed;
   doc.provenance.laps = 1;
   doc.provenance.fast_mode = fast_mode();
@@ -205,9 +199,7 @@ int main(int argc, char** argv) {
 
   TextTable tp_table{{"simd", "particles", "threads", "stage", "mean [ms]",
                       "items/s"}};
-  constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-  constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-  std::uint64_t doc_hash = kFnvOffset;
+  Fnv1a doc_hash;
   bool hashes_ok = true;
 
   for (const int n : tp_counts) {
@@ -231,18 +223,14 @@ int main(int argc, char** argv) {
           have_reference = true;
         } else if (hash != reference_hash) {
           std::fprintf(stderr,
-                       "FAIL simd=%s n=%d t=%d: estimate hash %016llx "
-                       "diverges from the cell's reference %016llx — "
+                       "FAIL simd=%s n=%d t=%d: estimate hash %s "
+                       "diverges from the cell's reference %s — "
                        "backends/lane counts are not bitwise identical\n",
-                       simd::name(backend), n, threads,
-                       static_cast<unsigned long long>(hash),
-                       static_cast<unsigned long long>(reference_hash));
+                       simd::name(backend), n, threads, to_hex(hash).c_str(),
+                       to_hex(reference_hash).c_str());
           hashes_ok = false;
         }
-        for (std::size_t byte = 0; byte < sizeof(hash); ++byte) {
-          doc_hash ^= (hash >> (8 * byte)) & 0xFFU;
-          doc_hash *= kFnvPrime;
-        }
+        doc_hash.value(hash);
 
         const double items =
             static_cast<double>(cfg.beams) * static_cast<double>(n);
@@ -270,7 +258,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  doc.determinism_hash = doc_hash;
+  doc.determinism_hash = doc_hash.digest();
   std::cout << "\n" << tp_table.render();
 
   // Headline: whole-update speedup of the vector backend, per cell pair.
@@ -301,7 +289,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "wrote " << json_path << " (" << kBenchThroughputSchema
             << ", determinism hash "
-            << throughput_to_json(doc).find("determinism_hash")->as_string()
+            << to_hex(doc.determinism_hash)
             << ")\n";
 
   if (!hashes_ok) {

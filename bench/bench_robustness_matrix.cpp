@@ -357,14 +357,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Serialize --------------------------------------------------------
-  doc.provenance.compiler = compiler_id();
-#ifdef NDEBUG
-  doc.provenance.build = "release";
-#else
-  doc.provenance.build = "debug";
-#endif
-  const char* sha = std::getenv("SRL_GIT_SHA");
-  doc.provenance.git_sha = sha != nullptr ? sha : "";
+  static_cast<BuildInfo&>(doc.provenance) = BuildInfo::current();
   doc.provenance.seed = config.seed;
   doc.provenance.fault_seed = config.fault_seed;
   doc.provenance.laps = config.experiment.laps;

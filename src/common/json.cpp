@@ -94,6 +94,21 @@ const std::vector<std::pair<std::string, Value>>& Value::members() const {
   return kind_ == Kind::kObject ? object_ : kEmpty;
 }
 
+double num(const Value& obj, const char* key, double fallback) {
+  const Value* v = obj.find(key);
+  return v != nullptr ? v->as_double(fallback) : fallback;
+}
+
+bool flag(const Value& obj, const char* key) {
+  const Value* v = obj.find(key);
+  return v != nullptr && v->as_bool();
+}
+
+std::string str(const Value& obj, const char* key) {
+  const Value* v = obj.find(key);
+  return v != nullptr ? v->as_string() : std::string{};
+}
+
 std::string format_number(double d) {
   // Shortest representation that round-trips: try increasing precision and
   // take the first that parses back to the same bits.

@@ -88,6 +88,15 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_{};
 };
 
+// -- absent-means-zero member readers ----------------------------------------
+// The artifact schemas grow by adding members, so an older document simply
+// lacks the newer ones. These read a member of `obj` leniently: absent (or
+// of another kind, or `obj` not an object) reads as `fallback` / false / "".
+
+double num(const Value& obj, const char* key, double fallback = 0.0);
+bool flag(const Value& obj, const char* key);
+std::string str(const Value& obj, const char* key);
+
 /// Round-trip double formatting ("%.17g"-class, shortest faithful): the one
 /// number format used across every benchmark JSON.
 std::string format_number(double d);

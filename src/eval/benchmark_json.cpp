@@ -1,64 +1,15 @@
 #include "eval/benchmark_json.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include "common/fingerprint.hpp"
 
 namespace srl {
-
-namespace {
-
-/// 64-bit hashes do not fit a double exactly, so they travel as fixed-width
-/// hex strings.
-std::string hash_to_hex(std::uint64_t h) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
-  return buf;
-}
-
-std::uint64_t hex_to_hash(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-double num(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr ? v->as_double() : 0.0;
-}
-
-bool flag(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr && v->as_bool();
-}
-
-std::string str(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr ? v->as_string() : std::string{};
-}
-
-}  // namespace
-
-std::string compiler_id() {
-#if defined(__clang__)
-  return "clang " + std::to_string(__clang_major__) + "." +
-         std::to_string(__clang_minor__) + "." +
-         std::to_string(__clang_patchlevel__);
-#elif defined(__GNUC__)
-  return "gcc " + std::to_string(__GNUC__) + "." +
-         std::to_string(__GNUC_MINOR__) + "." +
-         std::to_string(__GNUC_PATCHLEVEL__);
-#else
-  return "unknown";
-#endif
-}
 
 json::Value bench_to_json(const BenchDocument& doc) {
   json::Value root = json::Value::object();
   root.set("schema", json::Value::string(kBenchRobustnessSchema));
 
   json::Value provenance = json::Value::object();
-  provenance.set("compiler", json::Value::string(doc.provenance.compiler));
-  provenance.set("build", json::Value::string(doc.provenance.build));
-  provenance.set("git_sha", json::Value::string(doc.provenance.git_sha));
+  doc.provenance.write(provenance);
   provenance.set("seed",
                  json::Value::number(static_cast<double>(doc.provenance.seed)));
   provenance.set("fault_seed", json::Value::number(static_cast<double>(
@@ -85,7 +36,7 @@ json::Value bench_to_json(const BenchDocument& doc) {
     json::Value t = json::Value::object();
     t.set("fault", json::Value::string(fp.fault));
     t.set("severity", json::Value::number(fp.severity));
-    t.set("trace_hash", json::Value::string(hash_to_hex(fp.trace_hash)));
+    t.set("trace_hash", json::Value::string(to_hex(fp.trace_hash)));
     t.set("n_scans",
           json::Value::number(static_cast<double>(fp.n_scans)));
     t.set("n_odometry",
@@ -257,9 +208,7 @@ std::optional<BenchDocument> bench_from_json(const json::Value& root) {
   BenchDocument doc;
   if (const json::Value* p = root.find("provenance");
       p != nullptr && p->is_object()) {
-    doc.provenance.compiler = str(*p, "compiler");
-    doc.provenance.build = str(*p, "build");
-    doc.provenance.git_sha = str(*p, "git_sha");
+    static_cast<BuildInfo&>(doc.provenance) = BuildInfo::read(*p);
     doc.provenance.seed = static_cast<std::uint64_t>(num(*p, "seed"));
     doc.provenance.fault_seed =
         static_cast<std::uint64_t>(num(*p, "fault_seed"));
@@ -282,7 +231,10 @@ std::optional<BenchDocument> bench_from_json(const json::Value& root) {
       FaultTraceFingerprint fp;
       fp.fault = str(t, "fault");
       fp.severity = num(t, "severity");
-      fp.trace_hash = hex_to_hash(str(t, "trace_hash"));
+      const std::optional<std::uint64_t> hash =
+          parse_hex(str(t, "trace_hash"));
+      if (!hash.has_value()) return std::nullopt;
+      fp.trace_hash = *hash;
       fp.n_scans = static_cast<std::uint64_t>(num(t, "n_scans"));
       fp.n_odometry = static_cast<std::uint64_t>(num(t, "n_odometry"));
       doc.fault_traces.push_back(std::move(fp));

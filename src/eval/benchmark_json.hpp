@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "eval/build_info.hpp"
 #include "eval/scenario_matrix.hpp"
 
 namespace srl {
@@ -53,10 +54,7 @@ inline constexpr const char* kBenchRobustnessSchemaV1 =
 /// Where the numbers came from — enough to explain a regression without
 /// reproducing it. Everything here is informational except `seed` and
 /// `fault_seed`, which the determinism hash depends on.
-struct BenchProvenance {
-  std::string compiler;      ///< e.g. "gcc 13.2.0" (compiler_id())
-  std::string build;         ///< "release" / "checked" / ...
-  std::string git_sha;       ///< from SRL_GIT_SHA env when set
+struct BenchProvenance : BuildInfo {
   std::uint64_t seed{0};
   std::uint64_t fault_seed{0};
   int laps{0};
@@ -90,9 +88,6 @@ struct BenchDocument {
   bool has_governor_headline{false};
   GovernorHeadline governor_headline{};
 };
-
-/// Compile-time compiler identification for provenance.
-std::string compiler_id();
 
 /// Serialize to the schema above (insertion-ordered, round-trip numbers).
 json::Value bench_to_json(const BenchDocument& doc);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/fingerprint.hpp"
 #include "range/ray_marching.hpp"
 
 namespace srl {
@@ -66,8 +67,7 @@ ExperimentResult ExperimentRunner::run(Localizer& localizer,
     sp.push_back(json::Value::number(p0.y));
     sp.push_back(json::Value::number(p0.theta));
     extra.set("start_pose", std::move(sp));
-    extra.set("sim_seed",
-              json::Value::number(static_cast<double>(config_.seed)));
+    extra.set("sim_seed", json::Value::string(to_hex(config_.seed)));
     std::ostringstream rng_state;
     rng_state << rng;
     extra.set("sim_rng_state", json::Value::string(rng_state.str()));

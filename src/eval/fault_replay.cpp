@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/fingerprint.hpp"
+
 namespace srl {
 
 SensorTrace corrupt_trace(const fault::FaultPipeline& pipeline,
@@ -38,50 +40,27 @@ SensorTrace corrupt_trace(const fault::FaultPipeline& pipeline,
   return corrupted;
 }
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-}
-
-template <typename T>
-void hash_pod(std::uint64_t& h, const T& value) {
-  hash_bytes(h, &value, sizeof(T));
-}
-
-}  // namespace
-
 std::uint64_t trace_hash(const SensorTrace& trace) {
-  std::uint64_t h = kFnvOffset;
-  hash_pod(h, static_cast<std::uint64_t>(trace.odometry().size()));
-  hash_pod(h, static_cast<std::uint64_t>(trace.scans().size()));
+  Fnv1a h;
+  h.value(static_cast<std::uint64_t>(trace.odometry().size()));
+  h.value(static_cast<std::uint64_t>(trace.scans().size()));
   for (const SensorTrace::OdomRecord& rec : trace.odometry()) {
-    hash_pod(h, rec.t);
-    hash_pod(h, rec.odom.delta.x);
-    hash_pod(h, rec.odom.delta.y);
-    hash_pod(h, rec.odom.delta.theta);
-    hash_pod(h, rec.odom.v);
-    hash_pod(h, rec.odom.dt);
+    h.value(rec.t);
+    h.value(rec.odom.delta.x);
+    h.value(rec.odom.delta.y);
+    h.value(rec.odom.delta.theta);
+    h.value(rec.odom.v);
+    h.value(rec.odom.dt);
   }
   for (const SensorTrace::ScanRecord& rec : trace.scans()) {
-    hash_pod(h, rec.scan.t);
-    hash_pod(h, rec.truth.x);
-    hash_pod(h, rec.truth.y);
-    hash_pod(h, rec.truth.theta);
-    hash_pod(h, static_cast<std::uint64_t>(rec.scan.ranges.size()));
-    if (!rec.scan.ranges.empty()) {
-      hash_bytes(h, rec.scan.ranges.data(),
-                 rec.scan.ranges.size() * sizeof(float));
-    }
+    h.value(rec.scan.t);
+    h.value(rec.truth.x);
+    h.value(rec.truth.y);
+    h.value(rec.truth.theta);
+    h.value(static_cast<std::uint64_t>(rec.scan.ranges.size()));
+    for (const float r : rec.scan.ranges) h.value(r);
   }
-  return h;
+  return h.digest();
 }
 
 }  // namespace srl

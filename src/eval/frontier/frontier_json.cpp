@@ -1,37 +1,10 @@
 #include "eval/frontier/frontier_json.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
+#include "common/fingerprint.hpp"
 
 namespace srl::frontier {
 
 namespace {
-
-json::Value hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-  return json::Value::string(buf);
-}
-
-std::uint64_t parse_hex64(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 0);
-}
-
-double num_field(const json::Value& v, const char* key, double fallback = 0.0) {
-  const json::Value* f = v.find(key);
-  return f != nullptr ? f->as_double(fallback) : fallback;
-}
-
-std::string str_field(const json::Value& v, const char* key) {
-  const json::Value* f = v.find(key);
-  return f != nullptr ? f->as_string() : std::string{};
-}
-
-bool bool_field(const json::Value& v, const char* key) {
-  const json::Value* f = v.find(key);
-  return f != nullptr && f->as_bool(false);
-}
 
 json::Value evaluation_to_json(const FrontierEvaluation& eval) {
   json::Value v = json::Value::object();
@@ -50,15 +23,15 @@ json::Value evaluation_to_json(const FrontierEvaluation& eval) {
 
 FrontierEvaluation evaluation_from_json(const json::Value& v) {
   FrontierEvaluation eval;
-  eval.index = static_cast<std::uint32_t>(num_field(v, "index"));
-  eval.severity = num_field(v, "severity");
-  eval.failed = bool_field(v, "failed");
-  eval.crashed = bool_field(v, "crashed");
+  eval.index = static_cast<std::uint32_t>(num(v, "index"));
+  eval.severity = num(v, "severity");
+  eval.failed = flag(v, "failed");
+  eval.crashed = flag(v, "crashed");
   eval.divergence_episodes =
-      static_cast<int>(num_field(v, "divergence_episodes"));
-  eval.recoveries = static_cast<int>(num_field(v, "recoveries"));
-  eval.lateral_mean_cm = num_field(v, "lateral_mean_cm");
-  eval.final_pose_error_m = num_field(v, "final_pose_error_m");
+      static_cast<int>(num(v, "divergence_episodes"));
+  eval.recoveries = static_cast<int>(num(v, "recoveries"));
+  eval.lateral_mean_cm = num(v, "lateral_mean_cm");
+  eval.final_pose_error_m = num(v, "final_pose_error_m");
   return eval;
 }
 
@@ -93,19 +66,19 @@ json::Value point_to_json(const FrontierPoint& point) {
 
 FrontierPoint point_from_json(const json::Value& v) {
   FrontierPoint point;
-  point.localizer = str_field(v, "localizer");
-  point.axis = str_field(v, "axis");
-  point.track_class = str_field(v, "track_class");
-  point.variant = static_cast<int>(num_field(v, "variant"));
-  point.censored = bool_field(v, "censored");
-  point.degenerate = bool_field(v, "degenerate");
-  point.breaking_severity = num_field(v, "breaking_severity");
-  point.bracket_lo = num_field(v, "bracket_lo");
-  point.bracket_hi = num_field(v, "bracket_hi");
+  point.localizer = str(v, "localizer");
+  point.axis = str(v, "axis");
+  point.track_class = str(v, "track_class");
+  point.variant = static_cast<int>(num(v, "variant"));
+  point.censored = flag(v, "censored");
+  point.degenerate = flag(v, "degenerate");
+  point.breaking_severity = num(v, "breaking_severity");
+  point.bracket_lo = num(v, "bracket_lo");
+  point.bracket_hi = num(v, "bracket_hi");
   point.breaking_index =
-      static_cast<std::uint32_t>(num_field(v, "breaking_index"));
-  point.track_length_m = num_field(v, "track_length_m");
-  point.track_max_abs_curvature = num_field(v, "track_max_abs_curvature");
+      static_cast<std::uint32_t>(num(v, "breaking_index"));
+  point.track_length_m = num(v, "track_length_m");
+  point.track_max_abs_curvature = num(v, "track_max_abs_curvature");
   if (const json::Value* evals = v.find("evaluations");
       evals != nullptr && evals->is_array()) {
     for (std::size_t i = 0; i < evals->size(); ++i) {
@@ -137,12 +110,10 @@ json::Value frontier_to_json(const FrontierDocument& doc) {
   root.set("schema", json::Value::string(kFrontierSchema));
 
   json::Value prov = json::Value::object();
-  prov.set("compiler", json::Value::string(doc.provenance.compiler));
-  prov.set("build", json::Value::string(doc.provenance.build));
-  prov.set("git_sha", json::Value::string(doc.provenance.git_sha));
-  prov.set("fast_mode", json::Value::boolean(doc.provenance.fast_mode));
-  prov.set("scenario_seed", hex64(doc.result.seed));
-  prov.set("fault_seed", hex64(doc.result.fault_seed));
+  doc.provenance.write(prov);
+  prov.set("fast_mode", json::Value::boolean(doc.fast_mode));
+  prov.set("scenario_seed", json::Value::string(to_hex(doc.result.seed)));
+  prov.set("fault_seed", json::Value::string(to_hex(doc.result.fault_seed)));
   prov.set("bisect_iterations",
            json::Value::number(
                static_cast<double>(doc.result.bisect_iterations)));
@@ -183,20 +154,23 @@ bool write_frontier_json(const std::string& path,
 
 std::optional<FrontierDocument> frontier_from_json(const json::Value& root) {
   if (!root.is_object()) return std::nullopt;
-  if (str_field(root, "schema") != kFrontierSchema) return std::nullopt;
+  if (str(root, "schema") != kFrontierSchema) return std::nullopt;
 
   FrontierDocument doc;
   if (const json::Value* prov = root.find("provenance"); prov != nullptr) {
-    doc.provenance.compiler = str_field(*prov, "compiler");
-    doc.provenance.build = str_field(*prov, "build");
-    doc.provenance.git_sha = str_field(*prov, "git_sha");
-    doc.provenance.fast_mode = bool_field(*prov, "fast_mode");
-    doc.result.seed = parse_hex64(str_field(*prov, "scenario_seed"));
-    doc.result.fault_seed = parse_hex64(str_field(*prov, "fault_seed"));
+    doc.provenance = BuildInfo::read(*prov);
+    doc.fast_mode = flag(*prov, "fast_mode");
+    const std::optional<std::uint64_t> seed =
+        parse_hex(str(*prov, "scenario_seed"));
+    const std::optional<std::uint64_t> fault_seed =
+        parse_hex(str(*prov, "fault_seed"));
+    if (!seed.has_value() || !fault_seed.has_value()) return std::nullopt;
+    doc.result.seed = *seed;
+    doc.result.fault_seed = *fault_seed;
     doc.result.bisect_iterations =
-        static_cast<int>(num_field(*prov, "bisect_iterations"));
-    doc.result.n_particles = static_cast<int>(num_field(*prov, "n_particles"));
-    doc.result.variant = static_cast<int>(num_field(*prov, "variant"));
+        static_cast<int>(num(*prov, "bisect_iterations"));
+    doc.result.n_particles = static_cast<int>(num(*prov, "n_particles"));
+    doc.result.variant = static_cast<int>(num(*prov, "variant"));
   }
   const json::Value* points = root.find("points");
   if (points == nullptr || !points->is_array()) return std::nullopt;
@@ -205,14 +179,14 @@ std::optional<FrontierDocument> frontier_from_json(const json::Value& root) {
   }
   if (const json::Value* h = root.find("headline"); h != nullptr) {
     doc.has_headline = true;
-    doc.headline.axis = str_field(*h, "axis");
-    doc.headline.track_class = str_field(*h, "track_class");
-    doc.headline.synpf_breaking = num_field(*h, "synpf_breaking");
-    doc.headline.synpf_bracket_width = num_field(*h, "synpf_bracket_width");
-    doc.headline.synpf_censored = bool_field(*h, "synpf_censored");
-    doc.headline.carto_breaking = num_field(*h, "carto_breaking");
-    doc.headline.carto_bracket_width = num_field(*h, "carto_bracket_width");
-    doc.headline.carto_censored = bool_field(*h, "carto_censored");
+    doc.headline.axis = str(*h, "axis");
+    doc.headline.track_class = str(*h, "track_class");
+    doc.headline.synpf_breaking = num(*h, "synpf_breaking");
+    doc.headline.synpf_bracket_width = num(*h, "synpf_bracket_width");
+    doc.headline.synpf_censored = flag(*h, "synpf_censored");
+    doc.headline.carto_breaking = num(*h, "carto_breaking");
+    doc.headline.carto_bracket_width = num(*h, "carto_bracket_width");
+    doc.headline.carto_censored = flag(*h, "carto_censored");
   }
   return doc;
 }

@@ -32,22 +32,16 @@
 
 #include "common/json.hpp"
 #include "eval/bench_compare.hpp"
+#include "eval/build_info.hpp"
 #include "eval/frontier/frontier_search.hpp"
 
 namespace srl::frontier {
 
 inline constexpr const char* kFrontierSchema = "srl.frontier/1";
 
-/// Build provenance (informational; never compared by the gate).
-struct FrontierProvenance {
-  std::string compiler;  ///< compiler_id()
-  std::string build;     ///< "release" / "checked" / ...
-  std::string git_sha;   ///< from SRL_GIT_SHA env when set
-  bool fast_mode{false};
-};
-
 struct FrontierDocument {
-  FrontierProvenance provenance{};
+  BuildInfo provenance{};  ///< never compared by the gate
+  bool fast_mode{false};   ///< written into "provenance" after the build
   FrontierResult result{};
   bool has_headline{false};
   FrontierHeadline headline{};

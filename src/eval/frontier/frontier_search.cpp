@@ -15,8 +15,9 @@ namespace {
 
 /// One closed-loop probe: race `localizer_kind` through `scenario` on the
 /// prebuilt track. When `blackboxes` is non-null (the defining-failure
-/// re-run) the flight recorder rides along — a pure observer, so the
-/// trajectory is bitwise the one the recorder-off probe saw.
+/// re-run) the flight recorder and an event journal ride along — pure
+/// observers, so the trajectory is bitwise the one the recorder-off probe
+/// saw.
 FrontierEvaluation closed_loop_probe(
     const FrontierSearchConfig& config, const Track& track,
     const std::shared_ptr<const OccupancyGrid>& map,
@@ -50,14 +51,17 @@ FrontierEvaluation closed_loop_probe(
   if (spec.governor != GovernorMode::kNone) spec.budget_ms = config.budget_ms;
 
   StackRecording recording;
+  telemetry::EventLog journal;
+  telemetry::Sink sink;
   if (blackboxes != nullptr && !config.blackbox_dir.empty()) {
     recording.dump_dir = config.blackbox_dir;
     recording.label = localizer_kind + "-" + scenario.label();
     recording.provenance.set("scenario",
                              json::Value::string(scenario.label()));
+    sink.events = &journal;  // the box carries the episode's journal
   }
-  const StackRun run = run_stack(spec, track, map, config.experiment,
-                                 telemetry::Sink{}, recording);
+  const StackRun run =
+      run_stack(spec, track, map, config.experiment, sink, recording);
 
   eval.crashed = run.result.crashed;
   eval.divergence_episodes = run.result.divergence_episodes;

@@ -2,51 +2,49 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 
+#include "common/fingerprint.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace srl {
 
-namespace {
-
-std::uint64_t parse_hash(const std::string& hex) {
-  return std::strtoull(hex.c_str(), nullptr, 16);
-}
-
-double num_field(const json::Value& v, const char* key, double fallback) {
-  const json::Value* f = v.find(key);
-  return f != nullptr ? f->as_double(fallback) : fallback;
-}
-
-std::string str_field(const json::Value& v, const char* key) {
-  const json::Value* f = v.find(key);
-  return f != nullptr ? f->as_string() : std::string{};
-}
-
-}  // namespace
-
 std::optional<Blackbox> load_blackbox(const std::string& path) {
   const std::optional<json::Value> doc = json::Value::load(path);
   if (!doc.has_value() || !doc->is_object()) return std::nullopt;
-  if (str_field(*doc, "schema") != telemetry::kBlackboxSchema) {
+  if (json::str(*doc, "schema") != telemetry::kBlackboxSchema) {
     return std::nullopt;
   }
 
   Blackbox box;
   box.path = path;
-  box.reason = str_field(*doc, "reason");
-  box.label = str_field(*doc, "label");
-  box.t = num_field(*doc, "t", 0.0);
-  box.ticks = static_cast<std::uint64_t>(num_field(*doc, "ticks", 0.0));
-  box.estimate_hash = parse_hash(str_field(*doc, "estimate_hash"));
-  box.sim_seed = static_cast<std::uint64_t>(num_field(*doc, "sim_seed", 0.0));
-  box.sim_rng_state = str_field(*doc, "sim_rng_state");
-  const json::Value* crashed = doc->find("crashed");
-  box.crashed = crashed != nullptr && crashed->as_bool(false);
+  box.reason = json::str(*doc, "reason");
+  box.label = json::str(*doc, "label");
+  box.t = json::num(*doc, "t");
+  box.ticks = static_cast<std::uint64_t>(json::num(*doc, "ticks"));
+  // The first defect found is the one reported.
+  const auto refuse = [&box](std::string reason) {
+    if (box.load_error.empty()) box.load_error = std::move(reason);
+  };
+  const std::optional<std::uint64_t> hash =
+      parse_hex(json::str(*doc, "estimate_hash"));
+  if (hash.has_value()) {
+    box.estimate_hash = *hash;
+  } else {
+    refuse("estimate_hash must be a hex string");
+  }
+  if (const json::Value* seed = doc->find("sim_seed"); seed != nullptr) {
+    const std::optional<std::uint64_t> v = seed_from_json(*seed);
+    if (v.has_value()) {
+      box.sim_seed = *v;
+    } else {
+      refuse("sim_seed must be a hex string or a non-negative integer");
+    }
+  }
+  box.sim_rng_state = json::str(*doc, "sim_rng_state");
+  box.crashed = json::flag(*doc, "crashed");
 
   if (const json::Value* sp = doc->find("start_pose");
       sp != nullptr && sp->is_array() && sp->size() == 3) {
@@ -56,7 +54,9 @@ std::optional<Blackbox> load_blackbox(const std::string& path) {
   if (const json::Value* prov = doc->find("provenance"); prov != nullptr) {
     box.provenance = *prov;
     if (const json::Value* stack = prov->find("stack"); stack != nullptr) {
-      box.has_stack = stack_spec_from_json(*stack, box.stack, &box.stack_error);
+      std::string reason;
+      box.has_stack = stack_spec_from_json(*stack, box.stack, &reason);
+      if (!box.has_stack) refuse("invalid stack recipe: " + reason);
     }
   }
   if (const json::Value* snaps = doc->find("snapshots");
@@ -72,13 +72,13 @@ std::optional<Blackbox> load_blackbox(const std::string& path) {
     }
   }
   box.events_total = static_cast<std::uint64_t>(
-      num_field(*doc, "events_total", static_cast<double>(box.events.size())));
+      json::num(*doc, "events_total", static_cast<double>(box.events.size())));
   box.events_dropped =
-      static_cast<std::uint64_t>(num_field(*doc, "events_dropped", 0.0));
+      static_cast<std::uint64_t>(json::num(*doc, "events_dropped"));
 
   // The sidecar name is stored relative to the artifact so the pair can be
   // moved together (CI artifact downloads land anywhere).
-  const std::string trace_file = str_field(*doc, "trace_file");
+  const std::string trace_file = json::str(*doc, "trace_file");
   if (!trace_file.empty()) {
     const std::filesystem::path sidecar =
         std::filesystem::path(path).parent_path() / trace_file;
@@ -99,10 +99,8 @@ std::string render_timeline(const Blackbox& box) {
   out << "reason     : " << box.reason << " (t=" << json::format_number(box.t)
       << " s" << (box.crashed ? ", crashed" : "") << ")\n";
   out << "label      : " << box.label << "\n";
-  std::snprintf(line, sizeof(line), "ticks      : %" PRIu64
-                "  estimate_hash 0x%016" PRIx64 "\n",
-                box.ticks, box.estimate_hash);
-  out << line;
+  out << "ticks      : " << box.ticks << "  estimate_hash "
+      << to_hex(box.estimate_hash) << "\n";
   if (box.has_stack) {
     const StackSpec& s = box.stack;
     out << "stack      : " << stack_kind(s) << " on " << s.track << " ("
@@ -114,8 +112,9 @@ std::string render_timeline(const Blackbox& box) {
           << (s.governor == GovernorMode::kGovern ? "govern" : "enforce")
           << " mode, budget " << json::format_number(s.budget_ms) << " ms\n";
     }
-  } else if (!box.stack_error.empty()) {
-    out << "stack      : invalid recipe (" << box.stack_error << ")\n";
+  }
+  if (!box.load_error.empty()) {
+    out << "refused    : " << box.load_error << "\n";
   }
   out << "trace      : "
       << (box.has_trace
@@ -131,17 +130,17 @@ std::string render_timeline(const Blackbox& box) {
     double worst_t = 0.0;
     for (std::size_t i = 0; i < box.snapshots.size(); ++i) {
       const json::Value* snap = box.snapshots.at(i);
-      const double err = num_field(*snap, "truth_err_m", -1.0);
+      const double err = json::num(*snap, "truth_err_m", -1.0);
       if (err > worst_err) {
         worst_err = err;
-        worst_t = num_field(*snap, "t", 0.0);
+        worst_t = json::num(*snap, "t");
       }
     }
     const json::Value* first = box.snapshots.at(0);
     const json::Value* last = box.snapshots.at(box.snapshots.size() - 1);
     out << "window     : " << box.snapshots.size() << " snapshots, t=["
-        << json::format_number(num_field(*first, "t", 0.0)) << ", "
-        << json::format_number(num_field(*last, "t", 0.0)) << "]";
+        << json::format_number(json::num(*first, "t")) << ", "
+        << json::format_number(json::num(*last, "t")) << "]";
     if (worst_err >= 0.0) {
       out << ", max truth error " << json::format_number(worst_err)
           << " m at t=" << json::format_number(worst_t);
@@ -176,11 +175,12 @@ std::string render_timeline(const Blackbox& box) {
 
 PostmortemReplay replay_blackbox(const Blackbox& box, int threads) {
   PostmortemReplay replay;
+  if (!box.load_error.empty()) {
+    replay.error = box.load_error;
+    return replay;
+  }
   if (!box.has_stack) {
-    replay.error =
-        box.stack_error.empty()
-            ? "black box carries no stack recipe (provenance.stack)"
-            : "invalid stack recipe: " + box.stack_error;
+    replay.error = "black box carries no stack recipe (provenance.stack)";
     return replay;
   }
   if (!box.has_trace) {
@@ -231,13 +231,10 @@ PostmortemReplay replay_blackbox(const Blackbox& box, int threads) {
   replay.bitwise_match = replay.ticks == box.ticks &&
                          replay.estimate_hash == box.estimate_hash;
   if (!replay.bitwise_match) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "mismatch: recorded %" PRIu64 " ticks hash 0x%016" PRIx64
-                  ", replayed %" PRIu64 " ticks hash 0x%016" PRIx64,
-                  box.ticks, box.estimate_hash, replay.ticks,
-                  replay.estimate_hash);
-    replay.error = buf;
+    replay.error = "mismatch: recorded " + std::to_string(box.ticks) +
+                   " ticks hash " + to_hex(box.estimate_hash) +
+                   ", replayed " + std::to_string(replay.ticks) +
+                   " ticks hash " + to_hex(replay.estimate_hash);
   }
   return replay;
 }

@@ -43,7 +43,9 @@ struct Blackbox {
   bool crashed{false};
   StackSpec stack{};  ///< rebuild recipe (eval/stack.hpp)
   bool has_stack{false};
-  std::string stack_error;  ///< why a present recipe was rejected at load
+  /// Why the box cannot be replayed, found at load: a rejected stack recipe
+  /// or a malformed hash or seed. Empty for a sound box.
+  std::string load_error;
   json::Value provenance{json::Value::object()};
   std::vector<telemetry::Event> events;
   std::uint64_t events_total{0};
@@ -55,7 +57,8 @@ struct Blackbox {
 
 /// Parse `path` (+ its `.srlt` sidecar, resolved relative to the artifact's
 /// directory). Returns nullopt on unreadable/invalid JSON or wrong schema;
-/// a missing sidecar only clears `has_trace`.
+/// a missing sidecar only clears `has_trace`, and a malformed recipe, hash
+/// or seed loads with `load_error` set (the box renders but never replays).
 std::optional<Blackbox> load_blackbox(const std::string& path);
 
 /// Human-readable postmortem: provenance header, snapshot-window summary,

@@ -1,8 +1,6 @@
 #include "eval/stack.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cinttypes>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -10,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/fingerprint.hpp"
 #include "eval/frontier/scenario_sampler.hpp"
 #include "slam/pure_localization.hpp"
 
@@ -29,12 +28,6 @@ bool strip_suffix(std::string& kind, std::string_view suffix) {
   const bool found = kind.size() > suffix.size() && kind.ends_with(suffix);
   if (found) kind.resize(kind.size() - suffix.size());
   return found;
-}
-
-std::string seed_to_hex(std::uint64_t seed) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, seed);
-  return buf;
 }
 
 /// Strict member reader for a recipe that arrived from outside the program.
@@ -73,20 +66,12 @@ struct RecipeReader {
     if (!std::isfinite(d) || d < min) return reject(key, what);
     out = d;
   }
-  /// Hex string ("0x" + up to 16 digits), or the plain JSON number older
-  /// boxes wrote, when integral and in range.
   void seed(const char* key, std::uint64_t& out) {
     const json::Value* f = find(key);
     if (f == nullptr) return;
-    const std::string& s = f->as_string();
-    const double d = f->as_double(-1.0);
-    std::uint64_t hex = 0;
-    if (s.size() > 2 && s.size() <= 18 && s.compare(0, 2, "0x") == 0 &&
-        std::from_chars(s.data() + 2, s.data() + s.size(), hex, 16).ptr ==
-            s.data() + s.size()) {
-      out = hex;
-    } else if (d >= 0.0 && d < 18446744073709551616.0 && d == std::floor(d)) {
-      out = static_cast<std::uint64_t>(d);
+    const std::optional<std::uint64_t> v = seed_from_json(*f);
+    if (v.has_value()) {
+      out = *v;
     } else {
       reject(key, "a hex string or a non-negative integer");
     }
@@ -142,6 +127,15 @@ std::string stack_kind(const StackSpec& spec) {
   return kind;
 }
 
+std::optional<std::uint64_t> seed_from_json(const json::Value& v) {
+  if (v.is_string()) return parse_hex(v.as_string());
+  const double d = v.as_double(-1.0);
+  if (d >= 0.0 && d < 18446744073709551616.0 && d == std::floor(d)) {
+    return static_cast<std::uint64_t>(d);
+  }
+  return std::nullopt;
+}
+
 json::Value stack_spec_to_json(const StackSpec& spec) {
   json::Value v = json::Value::object();
   v.set("track", json::Value::string(spec.track));
@@ -151,10 +145,10 @@ json::Value stack_spec_to_json(const StackSpec& spec) {
   v.set("threads", json::Value::number(static_cast<double>(spec.threads)));
   v.set("range", json::Value::string(to_string(spec.range)));
   v.set("beams", json::Value::number(static_cast<double>(spec.beams)));
-  v.set("pf_seed", json::Value::string(seed_to_hex(spec.pf_seed)));
+  v.set("pf_seed", json::Value::string(to_hex(spec.pf_seed)));
   v.set("fault", json::Value::string(spec.fault));
   v.set("severity", json::Value::number(spec.severity));
-  v.set("fault_seed", json::Value::string(seed_to_hex(spec.fault_seed)));
+  v.set("fault_seed", json::Value::string(to_hex(spec.fault_seed)));
   // Governor members only for governed stacks, so ungoverned recipes read
   // exactly as they did before the governor existed.
   if (spec.governor != GovernorMode::kNone) {

@@ -67,6 +67,11 @@ bool parse_stack_kind(const std::string& kind, StackSpec& out);
 /// The kind of `spec` in the grammar above: the inverse of the parse.
 std::string stack_kind(const StackSpec& spec);
 
+/// A 64-bit seed as a black box stores it: a `to_hex` string
+/// (common/fingerprint.hpp), or the plain JSON number older boxes wrote when
+/// integral and in range; nullopt for anything else.
+std::optional<std::uint64_t> seed_from_json(const json::Value& v);
+
 /// Black-box `provenance.stack` form. Seeds are hex strings so all 64 bits
 /// survive; the reader also accepts the older numeric form.
 json::Value stack_spec_to_json(const StackSpec& spec);

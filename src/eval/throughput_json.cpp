@@ -1,61 +1,19 @@
 #include "eval/throughput_json.hpp"
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/fingerprint.hpp"
 
 namespace srl {
 
-namespace {
-
-std::string hash_to_hex(std::uint64_t h) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
-  return buf;
-}
-
-std::uint64_t hex_to_hash(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 16);
-}
-
-double num(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr ? v->as_double() : 0.0;
-}
-
-bool flag(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr && v->as_bool();
-}
-
-std::string str(const json::Value& obj, const char* key) {
-  const json::Value* v = obj.find(key);
-  return v != nullptr ? v->as_string() : std::string{};
-}
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
 std::uint64_t estimates_hash(std::span<const Pose2> estimates) {
-  std::uint64_t h = kFnvOffset;
+  Fnv1a h;
   for (const Pose2& p : estimates) {
-    h = fnv1a_bytes(h, &p.x, sizeof(double));
-    h = fnv1a_bytes(h, &p.y, sizeof(double));
-    h = fnv1a_bytes(h, &p.theta, sizeof(double));
+    h.value(p.x);
+    h.value(p.y);
+    h.value(p.theta);
   }
-  return h;
+  return h.digest();
 }
 
 std::string ThroughputCell::key() const {
@@ -70,9 +28,7 @@ json::Value throughput_to_json(const ThroughputDocument& doc) {
   root.set("schema", json::Value::string(kBenchThroughputSchema));
 
   json::Value provenance = json::Value::object();
-  provenance.set("compiler", json::Value::string(doc.provenance.compiler));
-  provenance.set("build", json::Value::string(doc.provenance.build));
-  provenance.set("git_sha", json::Value::string(doc.provenance.git_sha));
+  doc.provenance.write(provenance);
   provenance.set("seed",
                  json::Value::number(static_cast<double>(doc.provenance.seed)));
   provenance.set("laps", json::Value::number(doc.provenance.laps));
@@ -83,7 +39,7 @@ json::Value throughput_to_json(const ThroughputDocument& doc) {
   root.set("avx2_available", json::Value::boolean(doc.avx2_available));
   root.set("n_scans", json::Value::number(doc.n_scans));
   root.set("determinism_hash",
-           json::Value::string(hash_to_hex(doc.determinism_hash)));
+           json::Value::string(to_hex(doc.determinism_hash)));
 
   json::Value cells = json::Value::array();
   for (const ThroughputCell& cell : doc.cells) {
@@ -95,7 +51,7 @@ json::Value throughput_to_json(const ThroughputDocument& doc) {
     c.set("beams", json::Value::number(cell.beams));
     c.set("mean_ms", json::Value::number(cell.mean_ms));
     c.set("items_per_sec", json::Value::number(cell.items_per_sec));
-    c.set("hash", json::Value::string(hash_to_hex(cell.hash)));
+    c.set("hash", json::Value::string(to_hex(cell.hash)));
     cells.push_back(std::move(c));
   }
   root.set("cells", std::move(cells));
@@ -115,9 +71,7 @@ std::optional<ThroughputDocument> throughput_from_json(
   ThroughputDocument doc;
   if (const json::Value* p = root.find("provenance");
       p != nullptr && p->is_object()) {
-    doc.provenance.compiler = str(*p, "compiler");
-    doc.provenance.build = str(*p, "build");
-    doc.provenance.git_sha = str(*p, "git_sha");
+    static_cast<BuildInfo&>(doc.provenance) = BuildInfo::read(*p);
     doc.provenance.seed = static_cast<std::uint64_t>(num(*p, "seed"));
     doc.provenance.laps = static_cast<int>(num(*p, "laps"));
     doc.provenance.fast_mode = flag(*p, "fast_mode");
@@ -125,7 +79,10 @@ std::optional<ThroughputDocument> throughput_from_json(
   doc.simd_active = str(root, "simd_active");
   doc.avx2_available = flag(root, "avx2_available");
   doc.n_scans = static_cast<int>(num(root, "n_scans"));
-  doc.determinism_hash = hex_to_hash(str(root, "determinism_hash"));
+  const std::optional<std::uint64_t> doc_hash =
+      parse_hex(str(root, "determinism_hash"));
+  if (!doc_hash.has_value()) return std::nullopt;
+  doc.determinism_hash = *doc_hash;
 
   const json::Value* cells = root.find("cells");
   if (cells == nullptr || !cells->is_array()) return std::nullopt;
@@ -140,7 +97,9 @@ std::optional<ThroughputDocument> throughput_from_json(
     cell.beams = static_cast<int>(num(c, "beams"));
     cell.mean_ms = num(c, "mean_ms");
     cell.items_per_sec = num(c, "items_per_sec");
-    cell.hash = hex_to_hash(str(c, "hash"));
+    const std::optional<std::uint64_t> hash = parse_hex(str(c, "hash"));
+    if (!hash.has_value()) return std::nullopt;
+    cell.hash = *hash;
     doc.cells.push_back(std::move(cell));
   }
   return doc;

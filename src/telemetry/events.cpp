@@ -78,12 +78,8 @@ std::optional<Event> event_from_json(const json::Value& v) {
   if (!severity.has_value() || !category.has_value()) return std::nullopt;
 
   Event event;
-  if (const json::Value* seq = v.find("seq"); seq != nullptr) {
-    event.seq = static_cast<std::uint64_t>(seq->as_double());
-  }
-  if (const json::Value* t = v.find("t"); t != nullptr) {
-    event.t = t->as_double();
-  }
+  event.seq = static_cast<std::uint64_t>(json::num(v, "seq"));
+  event.t = json::num(v, "t");
   event.severity = *severity;
   event.category = *category;
   event.code = code->as_string();

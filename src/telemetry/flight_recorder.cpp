@@ -1,34 +1,8 @@
 #include "telemetry/flight_recorder.hpp"
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 namespace srl::telemetry {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a_double(std::uint64_t h, double d) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    h ^= (bits >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::string hash_to_hex(std::uint64_t h) {
-  char buf[19];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
-  return buf;
-}
-
-}  // namespace
 
 json::Value snapshot_to_json(const TickSnapshot& snap) {
   json::Value v = json::Value::object();
@@ -58,16 +32,16 @@ json::Value snapshot_to_json(const TickSnapshot& snap) {
 }
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config, EventLog* events)
-    : config_{config}, events_{events}, hash_{kFnvOffset} {
+    : config_{config}, events_{events} {
   config_.window = std::max<std::size_t>(config_.window, 1);
   ring_.reserve(config_.window);
 }
 
 void FlightRecorder::record_tick(TickSnapshot snap) {
   if (probe_) probe_(snap);
-  hash_ = fnv1a_double(hash_, snap.est_x);
-  hash_ = fnv1a_double(hash_, snap.est_y);
-  hash_ = fnv1a_double(hash_, snap.est_theta);
+  hash_.value(snap.est_x);
+  hash_.value(snap.est_y);
+  hash_.value(snap.est_theta);
   ++ticks_;
   if (ring_.size() < config_.window) {
     ring_.push_back(std::move(snap));
@@ -118,7 +92,7 @@ bool FlightRecorder::dump(const std::string& path, const std::string& reason,
   root.set("label", json::Value::string(config_.label));
   root.set("t", json::Value::number(t));
   root.set("ticks", json::Value::number(static_cast<double>(ticks_)));
-  root.set("estimate_hash", json::Value::string(hash_to_hex(hash_)));
+  root.set("estimate_hash", json::Value::string(to_hex(hash_.digest())));
   root.set("provenance", provenance_);
   if (extra.is_object()) {
     for (const auto& [key, value] : extra.members()) {
@@ -154,7 +128,7 @@ void FlightRecorder::clear() {
   ring_.clear();
   ring_next_ = 0;
   ticks_ = 0;
-  hash_ = kFnvOffset;
+  hash_ = Fnv1a{};
   dumps_done_ = 0;
   dump_paths_.clear();
 }

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fingerprint.hpp"
 #include "common/json.hpp"
 #include "telemetry/events.hpp"
 
@@ -90,7 +91,7 @@ class FlightRecorder {
 
   std::uint64_t ticks() const { return ticks_; }
   /// FNV-1a over the raw double bits of every recorded (x, y, theta).
-  std::uint64_t estimate_hash() const { return hash_; }
+  std::uint64_t estimate_hash() const { return hash_.digest(); }
   const FlightRecorderConfig& config() const { return config_; }
   /// Snapshot window in chronological order.
   std::vector<TickSnapshot> window() const;
@@ -121,7 +122,7 @@ class FlightRecorder {
   std::vector<TickSnapshot> ring_;
   std::size_t ring_next_{0};
   std::uint64_t ticks_{0};
-  std::uint64_t hash_;
+  Fnv1a hash_;
   int dumps_done_{0};
   std::vector<std::string> dump_paths_;
 };

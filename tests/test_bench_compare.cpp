@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 
 #include "common/json.hpp"
@@ -299,7 +302,7 @@ frontier::FrontierDocument make_frontier_doc() {
   frontier::FrontierDocument doc;
   doc.provenance.compiler = "testc 1.0";
   doc.provenance.build = "release";
-  doc.provenance.fast_mode = true;
+  doc.fast_mode = true;
   doc.result.seed = 0xF407;
   doc.result.fault_seed = 0x7a017ULL;
   doc.result.bisect_iterations = 5;
@@ -617,6 +620,123 @@ TEST(FrontierCompare, ExactModeCatchesProbeSequenceDrift) {
       frontier::compare_frontier(baseline, candidate, exact);
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].metric, "probe_sequence");
+}
+
+
+// ---------------------------------------------------------------------------
+// Every artifact schema against the shared codec
+// ---------------------------------------------------------------------------
+
+#ifndef SRL_REPO_ROOT
+#define SRL_REPO_ROOT "."
+#endif
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+/// read_* then *_to_json for one schema.
+using Reserialize =
+    std::function<std::optional<json::Value>(const std::string& path)>;
+template <typename Doc>
+Reserialize via(std::optional<Doc> (*read)(const std::string&),
+                json::Value (*write)(const Doc&)) {
+  return [read, write](const std::string& path) -> std::optional<json::Value> {
+    const std::optional<Doc> doc = read(path);
+    if (!doc.has_value()) return std::nullopt;
+    return write(*doc);
+  };
+}
+
+// The committed artifacts pin every writer: reading one and writing it back
+// must reproduce the file byte for byte.
+TEST(CommittedArtifacts, ReserializeByteForByte) {
+  const struct {
+    const char* path;
+    Reserialize reserialize;
+  } rows[] = {
+      {"bench/baselines/BENCH_robustness.baseline.json",
+       via(read_bench_json, bench_to_json)},
+      {"bench/baselines/BENCH_frontier.baseline.json",
+       via(frontier::read_frontier_json, frontier::frontier_to_json)},
+      {"bench/baselines/BENCH_throughput.baseline.json",
+       via(read_throughput_json, throughput_to_json)},
+      {"BENCH_robustness.json", via(read_bench_json, bench_to_json)},
+  };
+  const std::string out = ::testing::TempDir() + "srl_artifact_roundtrip.json";
+  for (const auto& row : rows) {
+    const std::string path = std::string{SRL_REPO_ROOT} + "/" + row.path;
+    const std::string committed = read_bytes(path);
+    ASSERT_FALSE(committed.empty()) << path;
+    const std::optional<json::Value> back = row.reserialize(path);
+    ASSERT_TRUE(back.has_value()) << path;
+    ASSERT_TRUE(back->save(out));
+    EXPECT_TRUE(read_bytes(out) == committed) << path;
+  }
+  std::remove(out.c_str());
+}
+
+/// `root` with `key` set to the string `text` — on the root when `parent`
+/// is null, else inside member `parent` (an object, or an array's first
+/// element).
+json::Value with_text(json::Value root, const char* parent, const char* key,
+                      const char* text) {
+  if (parent == nullptr) {
+    root.set(key, json::Value::string(text));
+    return root;
+  }
+  json::Value inner = *root.find(parent);
+  if (inner.is_object()) {
+    inner.set(key, json::Value::string(text));
+  } else {
+    json::Value items = json::Value::array();
+    for (std::size_t i = 0; i < inner.size(); ++i) {
+      json::Value item = *inner.at(i);
+      if (i == 0) item.set(key, json::Value::string(text));
+      items.push_back(std::move(item));
+    }
+    inner = std::move(items);
+  }
+  root.set(parent, std::move(inner));
+  return root;
+}
+
+// 64-bit members are read with the strict codec: a hash or seed that is not
+// "0x" plus 1-16 hex digits rejects the whole document.
+TEST(ArtifactReaders, RejectMalformed64BitMembers) {
+  const auto bench = [](const json::Value& v) {
+    return bench_from_json(v).has_value();
+  };
+  const auto throughput = [](const json::Value& v) {
+    return throughput_from_json(v).has_value();
+  };
+  const auto frontier_reads = [](const json::Value& v) {
+    return frontier::frontier_from_json(v).has_value();
+  };
+  const struct {
+    json::Value doc;
+    std::function<bool(const json::Value&)> reads;
+    const char* parent;
+    const char* key;
+  } rows[] = {
+      {bench_to_json(make_doc()), bench, "fault_traces", "trace_hash"},
+      {throughput_to_json(make_throughput_doc()), throughput, nullptr,
+       "determinism_hash"},
+      {throughput_to_json(make_throughput_doc()), throughput, "cells", "hash"},
+      {frontier::frontier_to_json(make_frontier_doc()), frontier_reads,
+       "provenance", "scenario_seed"},
+      {frontier::frontier_to_json(make_frontier_doc()), frontier_reads,
+       "provenance", "fault_seed"},
+  };
+  for (const auto& row : rows) {
+    EXPECT_TRUE(row.reads(row.doc)) << row.key;
+    for (const char* bad :
+         {"feedface", "123", "0x", "0x1g", "0xfeedfacecafebeefa", ""}) {
+      EXPECT_FALSE(row.reads(with_text(row.doc, row.parent, row.key, bad)))
+          << row.key << "=\"" << bad << '"';
+    }
+  }
 }
 
 }  // namespace

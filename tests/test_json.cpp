@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fingerprint.hpp"
+
 namespace srl::json {
 namespace {
 
@@ -224,6 +226,75 @@ TEST(Ndjson, MalformedInteriorLineFailsTheWholeLoad) {
 
 TEST(Ndjson, MissingFileIsNullopt) {
   EXPECT_FALSE(load_ndjson("/nonexistent/srl/no_such.ndjson").has_value());
+}
+
+// ------------------------------------------- absent-means-zero readers
+
+TEST(JsonMemberReaders, AbsentOrMistypedMembersReadAsZero) {
+  Value v = Value::object();
+  v.set("n", Value::number(2.5));
+  v.set("b", Value::boolean(true));
+  v.set("s", Value::string("x"));
+  EXPECT_EQ(num(v, "n"), 2.5);
+  EXPECT_TRUE(flag(v, "b"));
+  EXPECT_EQ(str(v, "s"), "x");
+  // Absent, or present with another kind.
+  EXPECT_EQ(num(v, "missing"), 0.0);
+  EXPECT_EQ(num(v, "s"), 0.0);
+  EXPECT_EQ(num(v, "missing", -1.0), -1.0);
+  EXPECT_FALSE(flag(v, "missing"));
+  EXPECT_FALSE(flag(v, "n"));
+  EXPECT_EQ(str(v, "missing"), "");
+  EXPECT_EQ(str(v, "b"), "");
+  EXPECT_EQ(num(Value::array(), "n"), 0.0);
+}
+
+// ------------------------------- artifact codec (common/fingerprint.hpp)
+
+TEST(ArtifactCodec, Fnv1aKnownAnswers) {
+  const struct {
+    const char* input;
+    std::uint64_t hash;
+  } rows[] = {
+      {"", 0xcbf29ce484222325ULL},
+      {"a", 0xaf63dc4c8601ec8cULL},
+      {"foobar", 0x85944171f73967e8ULL},
+  };
+  for (const auto& row : rows) {
+    Fnv1a h;
+    h.bytes(row.input, std::strlen(row.input));
+    EXPECT_EQ(h.digest(), row.hash) << '"' << row.input << '"';
+  }
+  // A value folds as its little-endian bytes.
+  Fnv1a by_value;
+  by_value.value(std::uint16_t{0x6261});  // "ab"
+  Fnv1a by_bytes;
+  by_bytes.bytes("ab", 2);
+  EXPECT_EQ(by_value.digest(), by_bytes.digest());
+}
+
+TEST(ArtifactCodec, HexRoundTripsTheFullWidth) {
+  const struct {
+    std::uint64_t value;
+    const char* text;
+  } rows[] = {
+      {0, "0x0000000000000000"},
+      {1, "0x0000000000000001"},
+      {~0ULL, "0xffffffffffffffff"},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(to_hex(row.value), row.text);
+    EXPECT_EQ(parse_hex(row.text), row.value) << row.text;
+  }
+  EXPECT_EQ(parse_hex("0x1"), 1u);
+  EXPECT_EQ(parse_hex("0xABCdef"), 0xabcdefu);
+}
+
+TEST(ArtifactCodec, ParseHexRejectsEverythingElse) {
+  for (const char* bad : {"", "0x", "0x1g", "0x00000000000000000", "-1",
+                          " 0x1", "0x1 ", "123", "0X1", "0x-1", "0x+1"}) {
+    EXPECT_FALSE(parse_hex(bad).has_value()) << '"' << bad << '"';
+  }
 }
 
 // --------------------------------------------------- committed fuzz corpus

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fingerprint.hpp"
 #include "eval/frontier/frontier_search.hpp"
 #include "eval/scenario_matrix.hpp"
 #include "eval/stack.hpp"
@@ -161,6 +162,50 @@ TEST_F(PostmortemPipeline, KidnapDumpsAndReplaysBitwise) {
   std::filesystem::remove_all(dir);
 }
 
+// A box from outside the program whose recorded hash is malformed is
+// refused at load with a reason, not replayed into a spurious MISMATCH.
+// The sim seed travels as hex, and the numeric form older boxes wrote
+// still loads.
+TEST_F(PostmortemPipeline, MalformedEstimateHashIsRefusedWithAReason) {
+  const std::string dir =
+      (std::filesystem::path{::testing::TempDir()} / "srl_bb_bad_hash")
+          .string();
+  std::filesystem::remove_all(dir);
+  ScenarioMatrixConfig config = base_config();
+  config.blackbox_dir = dir;
+  const std::vector<ScenarioCell> cells = ScenarioMatrix{config}.run(track());
+  ASSERT_EQ(cells.size(), 1u);
+  ASSERT_FALSE(cells[0].blackboxes.empty());
+  const std::string path = cells[0].blackboxes.front();
+
+  std::optional<json::Value> doc = json::Value::load(path);
+  ASSERT_TRUE(doc.has_value());
+  const std::optional<Blackbox> sound = load_blackbox(path);
+  ASSERT_TRUE(sound.has_value());
+  EXPECT_EQ(sound->load_error, "");
+  EXPECT_EQ(json::str(*doc, "sim_seed"), to_hex(sound->sim_seed));
+
+  doc->set("sim_seed",
+           json::Value::number(static_cast<double>(sound->sim_seed)));
+  ASSERT_TRUE(doc->save(path));
+  const std::optional<Blackbox> older = load_blackbox(path);
+  ASSERT_TRUE(older.has_value());
+  EXPECT_EQ(older->load_error, "");
+  EXPECT_EQ(older->sim_seed, sound->sim_seed);
+
+  doc->set("estimate_hash", json::Value::string("not-a-hash"));
+  ASSERT_TRUE(doc->save(path));
+  const std::optional<Blackbox> box = load_blackbox(path);
+  ASSERT_TRUE(box.has_value());
+  EXPECT_NE(box->load_error.find("estimate_hash"), std::string::npos)
+      << box->load_error;
+  EXPECT_NE(render_timeline(*box).find(box->load_error), std::string::npos);
+  const PostmortemReplay replay = replay_blackbox(*box);
+  EXPECT_FALSE(replay.ok);
+  EXPECT_EQ(replay.error, box->load_error);
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(PostmortemPipeline, RecorderOffIsBitwiseNoOp) {
   const std::string dir =
       (std::filesystem::path{::testing::TempDir()} / "srl_bb_noop").string();
@@ -254,6 +299,12 @@ TEST(PostmortemReplay, FrontierDefiningFailureBoxReplaysBitwise) {
   ASSERT_FALSE(point.blackboxes.empty());
   for (const std::string& path : point.blackboxes) {
     expect_replays_bitwise(dir + "/" + path);
+    // The defining-failure re-run journals, so the box carries the
+    // episode's event timeline.
+    const std::optional<Blackbox> box = load_blackbox(dir + "/" + path);
+    ASSERT_TRUE(box.has_value());
+    EXPECT_FALSE(box->events.empty());
+    EXPECT_GT(box->events_total, 0u);
   }
   std::filesystem::remove_all(dir);
 }

@@ -92,103 +92,31 @@ bool parse_double(const char* s, double& out) {
   return end != s && *end == '\0';
 }
 
-int run_frontier_compare(const std::string& baseline_path,
-                         const std::string& candidate_path,
-                         const srl::frontier::FrontierCompareThresholds& tol) {
-  using namespace srl;
-  const std::optional<frontier::FrontierDocument> baseline =
-      frontier::read_frontier_json(baseline_path);
-  if (!baseline) {
-    std::fprintf(stderr, "baseline %s: unreadable or not a %s document\n",
-                 baseline_path.c_str(), frontier::kFrontierSchema);
-    return 2;
-  }
-  const std::optional<frontier::FrontierDocument> candidate =
-      frontier::read_frontier_json(candidate_path);
-  if (!candidate) {
-    std::fprintf(stderr, "candidate %s: unreadable or not a %s document\n",
-                 candidate_path.c_str(), frontier::kFrontierSchema);
-    return 2;
+/// One gate run, whatever the schema: load the baseline, then the
+/// candidate (exit 2 on the first that fails), diff them with `compare`,
+/// print notes, failures and a verdict line that starts with `head`.
+template <typename Read, typename Compare, typename Head>
+int run_gate(const std::string (&paths)[2], const char* schema, Read read,
+             Compare compare, Head head) {
+  const char* const roles[2] = {"baseline", "candidate"};
+  decltype(read(paths[0])) docs[2];
+  for (int i = 0; i < 2; ++i) {
+    docs[i] = read(paths[i]);
+    if (!docs[i]) {
+      std::fprintf(stderr, "%s %s: unreadable or not a %s document\n",
+                   roles[i], paths[i].c_str(), schema);
+      return 2;
+    }
   }
 
-  const CompareReport report =
-      frontier::compare_frontier(*baseline, *candidate, tol);
-  for (const CompareFailure& failure : report.failures) {
-    std::fprintf(stderr, "FAIL %s\n", failure.describe().c_str());
-  }
-  std::printf("bench_compare --frontier: %d points compared%s — %s\n",
-              report.cells_compared, tol.require_identical ? " (exact)" : "",
-              report.ok() ? "PASS"
-                          : ("FAIL (" + std::to_string(report.failures.size()) +
-                             " regressions)")
-                                .c_str());
-  return report.ok() ? 0 : 1;
-}
-
-int run_throughput_compare(const std::string& baseline_path,
-                           const std::string& candidate_path,
-                           const srl::ThroughputThresholds& tol) {
-  using namespace srl;
-  const std::optional<ThroughputDocument> baseline =
-      read_throughput_json(baseline_path);
-  if (!baseline) {
-    std::fprintf(stderr, "baseline %s: unreadable or not a %s document\n",
-                 baseline_path.c_str(), kBenchThroughputSchema);
-    return 2;
-  }
-  const std::optional<ThroughputDocument> candidate =
-      read_throughput_json(candidate_path);
-  if (!candidate) {
-    std::fprintf(stderr, "candidate %s: unreadable or not a %s document\n",
-                 candidate_path.c_str(), kBenchThroughputSchema);
-    return 2;
-  }
-
-  const CompareReport report = compare_throughput(*baseline, *candidate, tol);
+  const srl::CompareReport report = compare(*docs[0], *docs[1]);
   for (const std::string& note : report.notes) {
     std::printf("note: %s\n", note.c_str());
   }
-  for (const CompareFailure& failure : report.failures) {
+  for (const srl::CompareFailure& failure : report.failures) {
     std::fprintf(stderr, "FAIL %s\n", failure.describe().c_str());
   }
-  std::printf("bench_compare --throughput: %d cells, %d fingerprints "
-              "compared%s — %s\n",
-              report.cells_compared, report.hashes_compared,
-              tol.structural_only ? " (structural)" : "",
-              report.ok() ? "PASS"
-                          : ("FAIL (" + std::to_string(report.failures.size()) +
-                             " regressions)")
-                                .c_str());
-  return report.ok() ? 0 : 1;
-}
-
-int run_tradeoff_compare(const std::string& baseline_path,
-                         const std::string& candidate_path,
-                         const srl::TradeoffThresholds& tol) {
-  using namespace srl;
-  const std::optional<BenchDocument> baseline = read_bench_json(baseline_path);
-  if (!baseline) {
-    std::fprintf(stderr, "baseline %s: unreadable or not a %s document\n",
-                 baseline_path.c_str(), kBenchRobustnessSchema);
-    return 2;
-  }
-  const std::optional<BenchDocument> candidate =
-      read_bench_json(candidate_path);
-  if (!candidate) {
-    std::fprintf(stderr, "candidate %s: unreadable or not a %s document\n",
-                 candidate_path.c_str(), kBenchRobustnessSchema);
-    return 2;
-  }
-
-  const CompareReport report = compare_tradeoff(*baseline, *candidate, tol);
-  for (const std::string& note : report.notes) {
-    std::printf("note: %s\n", note.c_str());
-  }
-  for (const CompareFailure& failure : report.failures) {
-    std::fprintf(stderr, "FAIL %s\n", failure.describe().c_str());
-  }
-  std::printf("bench_compare --tradeoff: %d governed cells compared — %s\n",
-              report.cells_compared,
+  std::printf("%s — %s\n", head(report).c_str(),
               report.ok() ? "PASS"
                           : ("FAIL (" + std::to_string(report.failures.size()) +
                              " regressions)")
@@ -308,36 +236,50 @@ int main(int argc, char** argv) {
   }
   if (n_paths != 2) return usage(argv[0]);
 
-  if (frontier_mode) return run_frontier_compare(paths[0], paths[1], frontier_tol);
+  using std::to_string;
+  if (frontier_mode) {
+    return run_gate(
+        paths, frontier::kFrontierSchema, frontier::read_frontier_json,
+        [&](const auto& base, const auto& cand) {
+          return frontier::compare_frontier(base, cand, frontier_tol);
+        },
+        [&](const CompareReport& r) {
+          return "bench_compare --frontier: " + to_string(r.cells_compared) +
+                 " points compared" +
+                 (frontier_tol.require_identical ? " (exact)" : "");
+        });
+  }
   if (throughput_mode) {
-    return run_throughput_compare(paths[0], paths[1], throughput_tol);
+    return run_gate(
+        paths, kBenchThroughputSchema, read_throughput_json,
+        [&](const auto& base, const auto& cand) {
+          return compare_throughput(base, cand, throughput_tol);
+        },
+        [&](const CompareReport& r) {
+          return "bench_compare --throughput: " + to_string(r.cells_compared) +
+                 " cells, " + to_string(r.hashes_compared) +
+                 " fingerprints compared" +
+                 (throughput_tol.structural_only ? " (structural)" : "");
+        });
   }
   if (tradeoff_mode) {
-    return run_tradeoff_compare(paths[0], paths[1], tradeoff_tol);
+    return run_gate(
+        paths, kBenchRobustnessSchema, read_bench_json,
+        [&](const auto& base, const auto& cand) {
+          return compare_tradeoff(base, cand, tradeoff_tol);
+        },
+        [](const CompareReport& r) {
+          return "bench_compare --tradeoff: " + to_string(r.cells_compared) +
+                 " governed cells compared";
+        });
   }
-
-  const std::optional<BenchDocument> baseline = read_bench_json(paths[0]);
-  if (!baseline) {
-    std::fprintf(stderr, "baseline %s: unreadable or not a %s document\n",
-                 paths[0].c_str(), kBenchRobustnessSchema);
-    return 2;
-  }
-  const std::optional<BenchDocument> candidate = read_bench_json(paths[1]);
-  if (!candidate) {
-    std::fprintf(stderr, "candidate %s: unreadable or not a %s document\n",
-                 paths[1].c_str(), kBenchRobustnessSchema);
-    return 2;
-  }
-
-  const CompareReport report = compare_bench(*baseline, *candidate, thresholds);
-  for (const CompareFailure& failure : report.failures) {
-    std::fprintf(stderr, "FAIL %s\n", failure.describe().c_str());
-  }
-  std::printf("bench_compare: %d cells, %d fingerprints compared — %s\n",
-              report.cells_compared, report.hashes_compared,
-              report.ok() ? "PASS"
-                          : ("FAIL (" + std::to_string(report.failures.size()) +
-                             " regressions)")
-                                .c_str());
-  return report.ok() ? 0 : 1;
+  return run_gate(
+      paths, kBenchRobustnessSchema, read_bench_json,
+      [&](const auto& base, const auto& cand) {
+        return compare_bench(base, cand, thresholds);
+      },
+      [](const CompareReport& r) {
+        return "bench_compare: " + to_string(r.cells_compared) + " cells, " +
+               to_string(r.hashes_compared) + " fingerprints compared";
+      });
 }

@@ -6,7 +6,8 @@
 // Usage:
 //   postmortem <blackbox.json>              render provenance + timeline
 //   postmortem <blackbox.json> --replay     also replay; exit 1 on hash
-//                                           mismatch
+//                                           mismatch, 2 on a box refused
+//                                           at load
 //   postmortem <blackbox.json> --replay --threads N
 //                                           replay at N filter lanes (the
 //                                           hash must not change)
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/fingerprint.hpp"
 #include "eval/postmortem.hpp"
 
 int main(int argc, char** argv) {
@@ -61,9 +63,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "replay failed: %s\n", replay.error.c_str());
     return 2;
   }
-  std::printf("replayed   : %" PRIu64 " ticks, estimate_hash 0x%016" PRIx64
-              "\n",
-              replay.ticks, replay.estimate_hash);
+  std::printf("replayed   : %" PRIu64 " ticks, estimate_hash %s\n",
+              replay.ticks, srl::to_hex(replay.estimate_hash).c_str());
   if (replay.bitwise_match) {
     std::printf("verdict    : BITWISE MATCH — episode reproduced\n");
     return 0;
