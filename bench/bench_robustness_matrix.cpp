@@ -11,6 +11,9 @@
 /// factors, and fingerprints every fault regime's corrupted sensor trace so
 /// regressions in the fault RNG schedule are bitwise-visible.
 ///
+/// Every run races the grid twice: an untimed warm-up, then the timed grid
+/// that the artifact reports.
+///
 /// Usage: bench_robustness_matrix [output.json]
 ///   SRL_FAST=1          reduced smoke grid (2 faults x 2 severities, 1 lap)
 ///   SRL_LAPS=n          laps per cell
@@ -106,16 +109,17 @@ int main(int argc, char** argv) {
   }
 
   // ---- The grid ---------------------------------------------------------
-  // With the A/B requested, a first untimed recorder-off grid warms page
-  // caches and the allocator so neither timed grid pays first-run cost —
-  // otherwise whichever variant runs first looks a few percent slower.
+  // A first untimed recorder-off grid warms page caches, the allocator and
+  // the worker lanes, so no timed cell pays first-run cost. Without it the
+  // first grid after a build shows ~13 ms p99 outliers against ~2 ms on a
+  // rerun, and with the A/B whichever variant ran first looked slower.
   const bool run_ab = std::getenv("SRL_RECORDER_AB") != nullptr &&
                       !config.blackbox_dir.empty();
   using bench_clock = std::chrono::steady_clock;
-  if (run_ab) {
+  {
     ScenarioMatrixConfig warm = config;
     warm.blackbox_dir.clear();
-    std::cout << "recorder A/B: warm-up grid (untimed, recorder off)...\n";
+    std::cout << "warm-up grid (untimed, recorder off)...\n";
     (void)ScenarioMatrix{warm}.run(track);
   }
   const ScenarioMatrix matrix{config};

@@ -12,7 +12,6 @@
 /// committed fingerprint, so both live here and nowhere else.
 
 #include <bit>
-#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -21,6 +20,8 @@
 #include <string_view>
 #include <type_traits>
 #include <utility>
+
+#include "common/parse.hpp"
 
 namespace srl {
 
@@ -76,11 +77,7 @@ inline std::optional<std::uint64_t> parse_hex(std::string_view s) {
   if (s.size() < 3 || s.size() > 18 || !s.starts_with("0x")) {
     return std::nullopt;
   }
-  std::uint64_t v = 0;
-  const std::from_chars_result r =
-      std::from_chars(s.data() + 2, s.data() + s.size(), v, 16);
-  if (r.ec != std::errc{} || r.ptr != s.data() + s.size()) return std::nullopt;
-  return v;
+  return parse_number<std::uint64_t>(s.substr(2), 16);
 }
 
 }  // namespace srl

@@ -9,8 +9,8 @@
 /// vector kernel must produce *bit-identical per-lane results* to its
 /// scalar reference (same operation order within a lane, no FMA
 /// contraction, no reassociation). Backend selection therefore only
-/// changes throughput, never output — `check_determinism` regime 9 and
-/// `tests/test_simd.cpp` enforce this.
+/// changes throughput, never output — the `Scalar`/`Avx2` variants of
+/// `tests/test_replay_invariance.cpp` and `tests/test_simd.cpp` enforce this.
 ///
 /// Selection order:
 ///   1. `force()` (test / tool seam) if set,

@@ -22,8 +22,9 @@
 /// compiled without FMA, so no contraction can occur), and its
 /// `_mm256_cvttpd_epi32` truncation matches the scalar `static_cast
 /// <int>` (both are x86 cvttpd; out-of-range lanes saturate to INT_MIN
-/// and clamp to bin 0 either way). tests/test_simd.cpp and
-/// check_determinism regime 9 hold the two paths bit-equal.
+/// and clamp to bin 0 either way). tests/test_simd.cpp and the
+/// `Scalar`/`Avx2` variants of tests/test_replay_invariance.cpp hold the two
+/// paths bit-equal.
 
 #include <cstdint>
 #include <span>

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
+#include <string_view>
 
 #include "common/json.hpp"
+#include "common/parse.hpp"
 
 namespace srl::frontier {
 
@@ -159,13 +162,21 @@ std::string ScenarioSampler::replay_recipe(std::uint64_t seed,
 bool ScenarioSampler::parse_replay_recipe(const std::string& recipe,
                                           std::uint64_t& seed,
                                           std::uint32_t& index) {
-  unsigned long long s = 0;
-  unsigned long i = 0;
-  if (std::sscanf(recipe.c_str(), "frontier:%llx:%lu", &s, &i) != 2) {
-    return false;
-  }
-  seed = s;
-  index = static_cast<std::uint32_t>(i);
+  // Exactly what replay_recipe writes: the seed's 16 hex digits, a colon and
+  // a decimal index that fits 32 bits, and nothing after it.
+  constexpr std::string_view kPrefix = "frontier:";
+  constexpr std::size_t kSeedDigits = 16;
+  std::string_view rest{recipe};
+  if (!rest.starts_with(kPrefix)) return false;
+  rest.remove_prefix(kPrefix.size());
+  if (rest.size() <= kSeedDigits || rest[kSeedDigits] != ':') return false;
+  const std::optional<std::uint64_t> s =
+      parse_number<std::uint64_t>(rest.substr(0, kSeedDigits), 16);
+  const std::optional<std::uint32_t> i =
+      parse_number<std::uint32_t>(rest.substr(kSeedDigits + 1));
+  if (!s || !i) return false;
+  seed = *s;
+  index = *i;
   return true;
 }
 

@@ -132,7 +132,9 @@ class ScenarioSampler {
   /// black boxes so `tools/postmortem --replay` can rebuild the sampled
   /// circuit (eval/postmortem.hpp understands it).
   static std::string replay_recipe(std::uint64_t seed, std::uint32_t index);
-  /// Parse a recipe back; false when `recipe` is not frontier-shaped.
+  /// Parse a recipe back; false unless `recipe` is exactly what
+  /// `replay_recipe` writes (no trailing bytes, no sign or "0x" on the
+  /// seed, no index past 32 bits).
   static bool parse_replay_recipe(const std::string& recipe,
                                   std::uint64_t& seed, std::uint32_t& index);
 

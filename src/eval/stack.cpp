@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
-#include <cstdio>
 #include <iterator>
 #include <string_view>
 #include <utility>
 
 #include "common/fingerprint.hpp"
+#include "common/parse.hpp"
 #include "eval/frontier/scenario_sampler.hpp"
 #include "slam/pure_localization.hpp"
 
@@ -77,6 +77,36 @@ struct RecipeReader {
     }
   }
 };
+
+struct OvalRecipe {
+  double straight;
+  double radius;
+};
+
+/// "oval:<straight>,<radius>" with both values finite and positive.
+std::optional<OvalRecipe> parse_oval(std::string_view recipe) {
+  constexpr std::string_view kPrefix = "oval:";
+  if (!recipe.starts_with(kPrefix)) return std::nullopt;
+  recipe.remove_prefix(kPrefix.size());
+  const std::size_t comma = recipe.find(',');
+  if (comma == std::string_view::npos) return std::nullopt;
+  const std::optional<double> straight = parse_double(recipe.substr(0, comma));
+  const std::optional<double> radius = parse_double(recipe.substr(comma + 1));
+  const auto usable = [](std::optional<double> v) {
+    return v && std::isfinite(*v) && *v > 0.0;
+  };
+  if (!usable(straight) || !usable(radius)) return std::nullopt;
+  return OvalRecipe{*straight, *radius};
+}
+
+/// True when `track_from_recipe` can build `recipe`, without rasterizing it.
+bool known_track(const std::string& recipe) {
+  std::uint64_t seed = 0;
+  std::uint32_t index = 0;
+  return recipe == "test_track" || recipe == "hairpin" ||
+         parse_oval(recipe).has_value() ||
+         frontier::ScenarioSampler::parse_replay_recipe(recipe, seed, index);
+}
 
 /// The fault pipeline `spec` describes. A frontier track recipe names a
 /// sampled fault envelope (phase/ramp/window), rebuilt from the replay key;
@@ -187,6 +217,9 @@ bool stack_spec_from_json(const json::Value& v, StackSpec& out,
   read.text("governor", governor);
   read.number("budget_ms", spec.budget_ms, 0.0, "a non-negative number");
   if (!read.error.empty()) return fail(read.error);
+  if (!known_track(spec.track)) {
+    return fail("unknown track recipe: \"" + spec.track + "\"");
+  }
 
   const RangeMethodKind backends[] = {
       RangeMethodKind::kBresenham, RangeMethodKind::kRayMarching,
@@ -222,15 +255,8 @@ bool stack_spec_from_json(const json::Value& v, StackSpec& out,
 std::optional<Track> track_from_recipe(const std::string& recipe) {
   if (recipe == "test_track") return TrackGenerator::test_track();
   if (recipe == "hairpin") return TrackGenerator::hairpin();
-  const std::string oval_prefix = "oval:";
-  if (recipe.compare(0, oval_prefix.size(), oval_prefix) == 0) {
-    double straight = 0.0;
-    double radius = 0.0;
-    if (std::sscanf(recipe.c_str() + oval_prefix.size(), "%lf,%lf", &straight,
-                    &radius) == 2 &&
-        straight > 0.0 && radius > 0.0) {
-      return TrackGenerator::oval(straight, radius);
-    }
+  if (const std::optional<OvalRecipe> oval = parse_oval(recipe)) {
+    return TrackGenerator::oval(oval->straight, oval->radius);
   }
   std::uint64_t seed = 0;
   std::uint32_t index = 0;

@@ -51,9 +51,10 @@ struct StackSpec {
   std::string fault{"none"};
   double severity{0.0};
   std::uint64_t fault_seed{0x7a017ULL};
-  /// Track recipe: "test_track", "hairpin", "oval:<straight>,<radius>", or a
-  /// frontier replay key "frontier:<seed>:<index>". The frontier key also
-  /// names the sampled fault envelope, which then replaces `fault`.
+  /// Track recipe: "test_track", "hairpin", "oval:<straight>,<radius>" (both
+  /// finite and positive), or a frontier replay key
+  /// "frontier:<16 hex digits>:<32-bit index>". The frontier key also names
+  /// the sampled fault envelope, which then replaces `fault`.
   std::string track{"test_track"};
 
   bool operator==(const StackSpec&) const = default;
@@ -76,9 +77,9 @@ std::optional<std::uint64_t> seed_from_json(const json::Value& v);
 /// survive; the reader also accepts the older numeric form.
 json::Value stack_spec_to_json(const StackSpec& spec);
 /// Parse a recipe that arrived from outside the program. Rejects unknown
-/// kinds, range backends and governor modes, non-integral or non-positive
-/// counts and negative budgets; on rejection returns false with the reason
-/// in `error` (when non-null).
+/// kinds, track recipes, range backends and governor modes, non-integral or
+/// non-positive counts and negative budgets; on rejection returns false with
+/// the reason in `error` (when non-null).
 bool stack_spec_from_json(const json::Value& v, StackSpec& out,
                           std::string* error = nullptr);
 

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
+
 namespace srl {
 namespace {
 
@@ -85,7 +87,7 @@ std::optional<OccupancyGrid> load_map(const std::string& path_stem) {
         std::getline(pgm, rest);
         continue;
       }
-      return std::stoi(tok);
+      return parse_number<int>(tok).value_or(-1);  // malformed = missing
     }
     return -1;
   };

@@ -84,6 +84,12 @@ const std::vector<RuleInfo>& catalog() {
        "stdout/stderr I/O (printf family, std::cout/cerr) from library code",
        "library layers report via telemetry, events or return values; "
        "printing belongs to tools/ and bench/"},
+      {"hy-lenient-parse",
+       "lenient text-to-number parsing (sscanf, std::stoi/stol/stoul/stoull/"
+       "stof/stod) in library code: accepts trailing bytes, wraps out-of-"
+       "range values, or throws out of a loader",
+       "parse the whole token with parse_number/parse_double "
+       "(common/parse.hpp) and refuse malformed input with a reason"},
       {"hy-bad-directive",
        "malformed srl-lint directive (unknown rule id, missing reason, or "
        "unknown marker)",
@@ -587,6 +593,18 @@ constexpr std::array<TokenRule, 9> kPrintfTokens{{
     {"cerr", false},
 }};
 
+constexpr std::array<TokenRule, 9> kLenientParseTokens{{
+    {"sscanf", true},
+    {"stoi", true},
+    {"stol", true},
+    {"stoll", true},
+    {"stoul", true},
+    {"stoull", true},
+    {"stof", true},
+    {"stod", true},
+    {"stold", true},
+}};
+
 // ---------------------------------------------------------------------------
 // The substream-key rule: extract the first argument of every substream(...)
 // call and require a pinned `kXxx` stream constant (optionally qualified).
@@ -783,6 +801,10 @@ FileReport lint_source(std::string_view rel_path, std::string_view content) {
     for (const TokenRule& t : kPrintfTokens) {
       token_scan(rel_path, s, t.token, t.call_only, "hy-printf",
                  "stdout/stderr I/O", nullptr, raw);
+    }
+    for (const TokenRule& t : kLenientParseTokens) {
+      token_scan(rel_path, s, t.token, t.call_only, "hy-lenient-parse",
+                 "lenient number parse", nullptr, raw);
     }
   }
 

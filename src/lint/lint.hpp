@@ -6,7 +6,7 @@
 ///
 /// The repo's headline property — every localizer stage is bitwise
 /// deterministic at any thread count (DESIGN.md §9) — is enforced
-/// dynamically by `tools/check_determinism` replays. That catches a stray
+/// dynamically by the `test_replay_invariance` table. That catches a stray
 /// `std::rand()` or wall-clock read only *after* it has shipped, hours later,
 /// in a replay regime. This pass makes the invariants machine-checkable at
 /// review time: a dependency-free lexical analyzer (comment/string-aware, no
@@ -27,8 +27,8 @@
 ///    (`kPfStream*` / `kRecoveryStream*`-style) per the PR-3/PR-5 stream
 ///    schedule.
 ///  - **repo hygiene** (`hy-*`): `#pragma once` in every header, no
-///    `using namespace` at header scope, no stdout/stderr I/O from library
-///    code.
+///    `using namespace` at header scope, no stdout/stderr I/O and no lenient
+///    number parsing (`sscanf`, `std::sto*`) in library code.
 ///
 /// Suppressions are explicit and audited: `// srl-lint-allow(rule-id):
 /// reason` on its own line (targets the next code line) or trailing (targets

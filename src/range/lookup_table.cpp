@@ -86,13 +86,11 @@ void RangeLut::ranges_from(const Pose2& sensor,
                            std::span<const double> beam_angles,
                            std::span<float> out) const {
   SYNPF_EXPECTS_MSG(valid_ray_pose(sensor), "lut query pose not finite");
-  telemetry::StageTimer timer{batch_ms_};
   note_queries(beam_angles.size());
   const OccupancyGrid& grid = *map_;
   const GridIndex g = grid.world_to_grid({sensor.x, sensor.y});
   if (grid.blocks_ray(g.ix, g.iy)) {
     for (std::size_t j = 0; j < out.size(); ++j) out[j] = 0.0F;
-    timer.stop();
     return;
   }
   const int cx = std::clamp(g.ix / stride_, 0, cells_x_ - 1);
@@ -101,7 +99,6 @@ void RangeLut::ranges_from(const Pose2& sensor,
 #if defined(SRL_SIMD_X86_AVX2)
   if (simd::active() == simd::Backend::kAvx2) {
     ranges_from_avx2(base, sensor.theta, beam_angles, out);
-    timer.stop();
     return;
   }
 #endif
@@ -113,7 +110,6 @@ void RangeLut::ranges_from(const Pose2& sensor,
     out[j] = static_cast<float>(table_[base + static_cast<std::size_t>(bt)] *
                                 quantum_);
   }
-  timer.stop();
 }
 
 #if defined(SRL_SIMD_X86_AVX2)

@@ -48,9 +48,7 @@ class RangeMethod {
   /// Batch query; default loops over range(). `out.size()` must equal
   /// `rays.size()`.
   virtual void ranges(std::span<const Pose2> rays, std::span<float> out) const {
-    telemetry::StageTimer timer{batch_ms_};
     for (std::size_t i = 0; i < rays.size(); ++i) out[i] = range(rays[i]);
-    timer.stop();
   }
 
   /// Per-particle batch: every beam shares `sensor`'s origin and looks
@@ -64,25 +62,23 @@ class RangeMethod {
   virtual void ranges_from(const Pose2& sensor,
                            std::span<const double> beam_angles,
                            std::span<float> out) const {
-    telemetry::StageTimer timer{batch_ms_};
     for (std::size_t j = 0; j < beam_angles.size(); ++j) {
       out[j] = range(Pose2{sensor.x, sensor.y, sensor.theta + beam_angles[j]});
     }
-    timer.stop();
   }
 
   double max_range() const { return max_range_; }
   const OccupancyGrid& map() const { return *map_; }
   std::shared_ptr<const OccupancyGrid> map_ptr() const { return map_; }
 
-  /// Register this backend's query counter ("range.<name>.queries") and
-  /// batch latency histogram ("range.<name>.batch_ms") with `registry`.
-  /// Declared const because backends are logically immutable — the telemetry
-  /// handles are the only mutable state. Attach before concurrent use; the
-  /// recorded metrics themselves are thread-safe.
+  /// Register this backend's query counter ("range.<name>.queries") with
+  /// `registry`. Queries are timed per batch by the caller (`pf.raycast_ms`),
+  /// never per particle: a clock read per fan would cost more than a LUT
+  /// fan itself. Declared const because backends are logically immutable —
+  /// the counter handle is the only mutable state. Attach before concurrent
+  /// use; the counter itself is thread-safe.
   void attach_telemetry(telemetry::MetricsRegistry& registry) const {
     queries_ = &registry.counter("range." + name() + ".queries");
-    batch_ms_ = &registry.histogram("range." + name() + ".batch_ms");
   }
 
  protected:
@@ -102,7 +98,6 @@ class RangeMethod {
   std::shared_ptr<const OccupancyGrid> map_;
   double max_range_;
   mutable telemetry::Counter* queries_{nullptr};
-  mutable telemetry::Histogram* batch_ms_{nullptr};
 };
 
 /// Which backend to build. `kLut` is the mode the paper uses on the GPU-less

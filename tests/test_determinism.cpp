@@ -1,97 +1,23 @@
-/// Bitwise-determinism guarantees: replaying the same `SensorTrace` from the
-/// same seed must produce bit-identical pose estimates and accuracy metrics
-/// — across reruns, across a textual save/restore of the RNG state, with or
-/// without telemetry attached (the PR-1 "instrumentation changes nothing"
-/// claim), and — since the hot path went parallel — at *any thread count*
-/// (the PR-3 tentpole guarantee). The RNG substream derivation and the
-/// filter's stream-split schedule are pinned here with hardcoded draws so
-/// they cannot silently change. The CI matrix additionally runs the
-/// standalone `tools/check_determinism` under every sanitizer and contract
-/// flavor and a thread matrix.
+/// RNG determinism: the serialized RNG state is the complete description of
+/// the stochastic process, and the filter's substream derivation and
+/// stream-split schedule are pinned here with hardcoded draws so they cannot
+/// silently change. Replay invariance across reruns, lane counts, SIMD
+/// backends and attached instrumentation is the table in
+/// `test_replay_invariance.cpp`.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <sstream>
 
 #include "common/rng.hpp"
 #include "core/synpf.hpp"
-#include "eval/dead_reckoning.hpp"
-#include "eval/experiment.hpp"
-#include "eval/trace.hpp"
-#include "gridmap/track_generator.hpp"
-#include "telemetry/telemetry.hpp"
+#include "replay_fixture.hpp"
 
 namespace srl {
 namespace {
 
-/// Bitwise pose equality — stricter than EXPECT_DOUBLE_EQ (which admits
-/// distinct NaN payloads and -0.0 vs 0.0).
-bool bitwise_equal(const Pose2& a, const Pose2& b) {
-  return std::memcmp(&a.x, &b.x, sizeof(double)) == 0 &&
-         std::memcmp(&a.y, &b.y, sizeof(double)) == 0 &&
-         std::memcmp(&a.theta, &b.theta, sizeof(double)) == 0;
-}
-
-void expect_bitwise_identical(const SensorTrace::ReplayResult& a,
-                              const SensorTrace::ReplayResult& b) {
-  ASSERT_EQ(a.estimates.size(), b.estimates.size());
-  for (std::size_t i = 0; i < a.estimates.size(); ++i) {
-    ASSERT_TRUE(bitwise_equal(a.estimates[i], b.estimates[i]))
-        << "estimate " << i << " diverges";
-  }
-  EXPECT_EQ(std::memcmp(&a.pose_rmse_m, &b.pose_rmse_m, sizeof(double)), 0);
-  EXPECT_EQ(
-      std::memcmp(&a.heading_rmse_rad, &b.heading_rmse_rad, sizeof(double)),
-      0);
-}
-
-class DeterminismTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    track_ = std::make_unique<Track>(TrackGenerator::oval(8.0, 2.5));
-    trace_ = std::make_unique<SensorTrace>();
-    ExperimentConfig cfg;
-    cfg.laps = 1;
-    cfg.max_sim_time = 15.0;
-    cfg.profile.scale = 0.5;
-    ExperimentRunner runner{*track_, cfg};
-    DeadReckoning driver;
-    runner.run(driver, trace_.get());
-    map_ = std::make_shared<const OccupancyGrid>(track_->grid);
-  }
-  static void TearDownTestSuite() {
-    map_.reset();
-    trace_.reset();
-    track_.reset();
-  }
-
-  static SynPfConfig pf_config() {
-    SynPfConfig cfg;
-    cfg.filter.n_particles = 400;
-    return cfg;
-  }
-
-  static std::unique_ptr<Track> track_;
-  static std::unique_ptr<SensorTrace> trace_;
-  static std::shared_ptr<const OccupancyGrid> map_;
-};
-
-std::unique_ptr<Track> DeterminismTest::track_;
-std::unique_ptr<SensorTrace> DeterminismTest::trace_;
-std::shared_ptr<const OccupancyGrid> DeterminismTest::map_;
-
-TEST_F(DeterminismTest, RerunFromSameSeedIsBitwiseIdentical) {
-  SynPf a{pf_config(), map_, LidarConfig{}};
-  SynPf b{pf_config(), map_, LidarConfig{}};
-  const auto ra = trace_->replay(a);
-  const auto rb = trace_->replay(b);
-  ASSERT_FALSE(ra.estimates.empty());
-  expect_bitwise_identical(ra, rb);
-}
-
-TEST_F(DeterminismTest, RngStateRoundTripsThroughStreams) {
+TEST(DeterminismTest, RngStateRoundTripsThroughStreams) {
   Rng original{12345};
   // Consume an odd number of gaussians so the Box-Muller cache is "charged";
   // the serialized state must include it.
@@ -104,96 +30,28 @@ TEST_F(DeterminismTest, RngStateRoundTripsThroughStreams) {
 
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(original.next_seed(), restored.next_seed());
-    const double g0 = original.gaussian(2.0);
-    const double g1 = restored.gaussian(2.0);
-    EXPECT_EQ(std::memcmp(&g0, &g1, sizeof(double)), 0);
+    EXPECT_TRUE(bitwise_equal(original.gaussian(2.0), restored.gaussian(2.0)));
   }
 }
 
-TEST_F(DeterminismTest, ReplayAfterRngSaveRestoreIsBitwiseIdentical) {
-  SynPf a{pf_config(), map_, LidarConfig{}};
-  const auto ra = trace_->replay(a);
+TEST(DeterminismTest, ReplayAfterRngSaveRestoreIsBitwiseIdentical) {
+  const Track track = replay_oval();
+  const SensorTrace trace = record_drive(track, oval_lap(15.0));
+  auto map = std::make_shared<const OccupancyGrid>(track.grid);
+  SynPfConfig cfg;
+  cfg.filter.n_particles = 400;
 
-  SynPf c{pf_config(), map_, LidarConfig{}};
+  SynPf a{cfg, map, LidarConfig{}};
+  const auto ra = trace.replay(a);
+  ASSERT_FALSE(ra.estimates.empty());
+
+  SynPf c{cfg, map, LidarConfig{}};
   std::stringstream saved;
   saved << c.filter().rng();
   // Scramble the generator, then restore: the replay must be oblivious.
   for (int i = 0; i < 1000; ++i) c.filter().rng().uniform();
   saved >> c.filter().rng();
-  const auto rc = trace_->replay(c);
-  expect_bitwise_identical(ra, rc);
-}
-
-/// The tentpole acceptance test: the same trace replayed at n_threads 1, 2
-/// and 8 (the last heavily oversubscribed on small CI machines — which is
-/// the point: scheduling varies wildly and must not matter) produces
-/// bitwise-identical estimates, covariances, resample counts, cloud sizes
-/// and accuracy metrics.
-TEST_F(DeterminismTest, ThreadCountInvariance) {
-  SynPfConfig ref_cfg = pf_config();
-  ref_cfg.filter.n_threads = 1;
-  SynPf ref{ref_cfg, map_, LidarConfig{}};
-  const auto rr = trace_->replay(ref);
-  ASSERT_FALSE(rr.estimates.empty());
-  const PoseCovariance ref_cov = ref.filter().covariance();
-  const long ref_resamples = ref.filter().resample_count();
-  const int ref_particles = ref.filter().current_particles();
-  ASSERT_GT(ref_resamples, 0L) << "trace too benign to exercise resampling";
-
-  for (const int threads : {2, 8}) {
-    SynPfConfig cfg = pf_config();
-    cfg.filter.n_threads = threads;
-    SynPf pf{cfg, map_, LidarConfig{}};
-    const auto r = trace_->replay(pf);
-    ASSERT_EQ(pf.filter().threads(), threads);
-    expect_bitwise_identical(rr, r);
-    EXPECT_EQ(pf.filter().resample_count(), ref_resamples)
-        << "at " << threads << " threads";
-    EXPECT_EQ(pf.filter().current_particles(), ref_particles);
-    const PoseCovariance cov = pf.filter().covariance();
-    EXPECT_EQ(std::memcmp(&cov.xx, &ref_cov.xx, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&cov.xy, &ref_cov.xy, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&cov.yy, &ref_cov.yy, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&cov.tt, &ref_cov.tt, sizeof(double)), 0);
-  }
-}
-
-/// Metrics recorded during a multi-threaded replay must match the
-/// single-threaded ones: same resample/update counters, same health gauges
-/// — the instrumentation sees the same filter, only faster.
-TEST_F(DeterminismTest, ThreadCountInvarianceOfMetrics) {
-  const auto run = [&](int threads, telemetry::Telemetry& telemetry) {
-    SynPfConfig cfg = pf_config();
-    cfg.filter.n_threads = threads;
-    SynPf pf{cfg, map_, LidarConfig{}};
-    return trace_->replay(pf, telemetry.sink());
-  };
-  telemetry::Telemetry t1;
-  telemetry::Telemetry t8;
-  const auto r1 = run(1, t1);
-  const auto r8 = run(8, t8);
-  expect_bitwise_identical(r1, r8);
-  EXPECT_EQ(t1.metrics.counter("pf.resamples").value(),
-            t8.metrics.counter("pf.resamples").value());
-  EXPECT_EQ(t1.metrics.counter("pf.updates").value(),
-            t8.metrics.counter("pf.updates").value());
-  const double ess1 = t1.metrics.gauge("pf.ess").value();
-  const double ess8 = t8.metrics.gauge("pf.ess").value();
-  EXPECT_EQ(std::memcmp(&ess1, &ess8, sizeof(double)), 0);
-  EXPECT_EQ(t1.metrics.gauge("pf.threads").value(), 1.0);
-  EXPECT_EQ(t8.metrics.gauge("pf.threads").value(), 8.0);
-}
-
-TEST_F(DeterminismTest, TelemetryAttachmentDoesNotPerturbEstimates) {
-  SynPf plain{pf_config(), map_, LidarConfig{}};
-  const auto rp = trace_->replay(plain);
-
-  telemetry::Telemetry telemetry;
-  SynPf instrumented{pf_config(), map_, LidarConfig{}};
-  const auto ri = trace_->replay(instrumented, telemetry.sink());
-  expect_bitwise_identical(rp, ri);
-  // The instrumented run actually recorded something.
-  EXPECT_NE(telemetry.metrics.find_histogram("pf.predict_ms"), nullptr);
+  expect_bitwise_identical(ra, trace.replay(c));
 }
 
 // ---------------------------------------------------------------------------

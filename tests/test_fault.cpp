@@ -7,12 +7,10 @@
 #include <memory>
 
 #include "core/synpf.hpp"
-#include "eval/dead_reckoning.hpp"
-#include "eval/experiment.hpp"
 #include "eval/fault_replay.hpp"
 #include "fault/faulted_localizer.hpp"
 #include "fault/injector.hpp"
-#include "gridmap/track_generator.hpp"
+#include "replay_fixture.hpp"
 
 namespace srl {
 namespace {
@@ -21,15 +19,9 @@ namespace {
 class FaultTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    track_ = std::make_unique<Track>(TrackGenerator::oval(8.0, 2.5));
-    trace_ = std::make_unique<SensorTrace>();
-    ExperimentConfig cfg;
-    cfg.laps = 1;
-    cfg.max_sim_time = 12.0;
-    cfg.profile.scale = 0.5;
-    ExperimentRunner runner{*track_, cfg};
-    DeadReckoning driver;
-    runner.run(driver, trace_.get());
+    track_ = std::make_unique<Track>(replay_oval());
+    trace_ = std::make_unique<SensorTrace>(
+        record_drive(*track_, oval_lap(12.0)));
     ASSERT_FALSE(trace_->scans().empty());
   }
   static void TearDownTestSuite() {
@@ -97,9 +89,7 @@ TEST_F(FaultTest, TruthIsNeverCorrupted) {
   for (std::size_t i = 0; i < corrupted.scans().size(); ++i) {
     const Pose2& truth = trace_->scans()[i].truth;
     const Pose2& kept = corrupted.scans()[i].truth;
-    EXPECT_EQ(std::memcmp(&truth.x, &kept.x, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&truth.y, &kept.y, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&truth.theta, &kept.theta, sizeof(double)), 0);
+    EXPECT_TRUE(bitwise_equal(truth, kept)) << "scan " << i;
   }
 }
 
@@ -132,30 +122,6 @@ TEST_F(FaultTest, StackingOrderIsWellDefined) {
   EXPECT_EQ(blackout_first,
             trace_hash(corrupt_trace(build("blackout", "lidar_noise"), *trace_)));
   EXPECT_NE(noise_first, blackout_first);
-}
-
-TEST_F(FaultTest, CorruptedReplayIsThreadCountInvariant) {
-  const SensorTrace corrupted = corrupt_trace(make_stack(42), *trace_);
-  auto map = std::make_shared<const OccupancyGrid>(track_->grid);
-
-  auto replay_with_threads = [&](int threads) {
-    SynPfConfig cfg;
-    cfg.filter.n_particles = 300;
-    cfg.filter.n_threads = threads;
-    SynPf filter{cfg, map, LidarConfig{}};
-    return corrupted.replay(filter);
-  };
-  const auto serial = replay_with_threads(1);
-  const auto pooled = replay_with_threads(8);
-  ASSERT_EQ(serial.estimates.size(), pooled.estimates.size());
-  for (std::size_t i = 0; i < serial.estimates.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&serial.estimates[i].x, &pooled.estimates[i].x,
-                          sizeof(double)), 0) << "estimate " << i;
-    EXPECT_EQ(std::memcmp(&serial.estimates[i].theta, &pooled.estimates[i].theta,
-                          sizeof(double)), 0) << "estimate " << i;
-  }
-  EXPECT_EQ(std::memcmp(&serial.pose_rmse_m, &pooled.pose_rmse_m,
-                        sizeof(double)), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,11 +331,9 @@ TEST_F(FaultTest, FaultedLocalizerClosedLoopIsDeterministic) {
   };
   const ExperimentResult a = run_once();
   const ExperimentResult b = run_once();
-  EXPECT_EQ(std::memcmp(&a.lateral_mean_cm, &b.lateral_mean_cm,
-                        sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.pose_rmse_m, &b.pose_rmse_m, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.scan_alignment, &b.scan_alignment,
-                        sizeof(double)), 0);
+  EXPECT_TRUE(bitwise_equal(a.lateral_mean_cm, b.lateral_mean_cm));
+  EXPECT_TRUE(bitwise_equal(a.pose_rmse_m, b.pose_rmse_m));
+  EXPECT_TRUE(bitwise_equal(a.scan_alignment, b.scan_alignment));
   EXPECT_EQ(a.crashed, b.crashed);
 }
 

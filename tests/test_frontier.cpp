@@ -9,6 +9,7 @@
 #include "common/json.hpp"
 #include "eval/frontier/frontier_json.hpp"
 #include "eval/frontier/scenario_sampler.hpp"
+#include "replay_fixture.hpp"
 
 namespace srl::frontier {
 namespace {
@@ -55,13 +56,13 @@ TEST(ScenarioKey, TrackKeyClearsSeverityAndAxisBits) {
 
 bool scenarios_bitwise_equal(const SampledScenario& a,
                              const SampledScenario& b) {
-  return a.severity == b.severity &&
+  return bitwise_equal(a.severity, b.severity) &&
          std::memcmp(&a.profile, &b.profile, sizeof(a.profile)) == 0 &&
-         a.length_scale == b.length_scale &&
-         a.spec.half_width == b.spec.half_width &&
+         bitwise_equal(a.length_scale, b.length_scale) &&
+         bitwise_equal(a.spec.half_width, b.spec.half_width) &&
          a.n_waypoints == b.n_waypoints &&
-         a.waypoint_radius == b.waypoint_radius &&
-         a.waypoint_jitter == b.waypoint_jitter;
+         bitwise_equal(a.waypoint_radius, b.waypoint_radius) &&
+         bitwise_equal(a.waypoint_jitter, b.waypoint_jitter);
 }
 
 TEST(ScenarioSampler, SampleIsAPureFunctionOfSeedAndIndex) {
@@ -182,12 +183,25 @@ TEST(ScenarioSampler, ReplayRecipeRoundTrips) {
       ScenarioSampler::parse_replay_recipe(recipe, seed_back, index_back));
   EXPECT_EQ(seed_back, seed);
   EXPECT_EQ(index_back, index);
-  EXPECT_FALSE(
-      ScenarioSampler::parse_replay_recipe("oval:8,2.5", seed_back,
-                                           index_back));
-  EXPECT_FALSE(
-      ScenarioSampler::parse_replay_recipe("frontier:", seed_back,
-                                           index_back));
+  // Anything but exactly what replay_recipe writes is refused: trailing
+  // bytes, a sign or "0x" on the seed, an index past 32 bits.
+  for (const char* bad :
+       {"oval:8,2.5", "frontier:", "frontier:00000000000000ff:5xyz",
+        "frontier:-1:0", "frontier:0x00000000000000ff:1",
+        "frontier:00000000000000ff:4294967301", "frontier:00000000000000ff:",
+        "frontier:00000000000000ff:-5", "frontier:0000000000000ff:5",
+        "oval:8,2.5xyz", "oval:inf,2.5"}) {
+    EXPECT_FALSE(
+        ScenarioSampler::parse_replay_recipe(bad, seed_back, index_back))
+        << bad;
+  }
+  EXPECT_EQ(seed_back, seed);  // a refusal leaves the outputs alone
+  EXPECT_EQ(index_back, index);
+  ASSERT_TRUE(ScenarioSampler::parse_replay_recipe(
+      ScenarioSampler::replay_recipe(~0ULL, 0xffffffffU), seed_back,
+      index_back));
+  EXPECT_EQ(seed_back, ~0ULL);
+  EXPECT_EQ(index_back, 0xffffffffU);
 }
 
 // ---------------------------------------------------------------------------
@@ -316,16 +330,28 @@ TEST(FrontierSearch, ProbeSequenceIsDeterministicAndThreadInvariant) {
     const FrontierPoint& b = parallel.points[i];
     EXPECT_EQ(a.cell(), b.cell());
     EXPECT_EQ(a.breaking_index, b.breaking_index);
-    EXPECT_EQ(a.bracket_lo, b.bracket_lo);
-    EXPECT_EQ(a.bracket_hi, b.bracket_hi);
+    EXPECT_TRUE(bitwise_equal(a.bracket_lo, b.bracket_lo));
+    EXPECT_TRUE(bitwise_equal(a.bracket_hi, b.bracket_hi));
     ASSERT_EQ(a.evaluations.size(), b.evaluations.size());
     for (std::size_t j = 0; j < a.evaluations.size(); ++j) {
       EXPECT_EQ(a.evaluations[j].index, b.evaluations[j].index);
       EXPECT_EQ(a.evaluations[j].failed, b.evaluations[j].failed);
-      EXPECT_EQ(a.evaluations[j].lateral_mean_cm,
-                b.evaluations[j].lateral_mean_cm);
+      EXPECT_TRUE(bitwise_equal(a.evaluations[j].lateral_mean_cm,
+                                b.evaluations[j].lateral_mean_cm));
     }
   }
+
+  // The serialized artifact, headline included, is byte-identical too: the
+  // CI frontier gate's `cmp` of two smoke runs rests on it.
+  const auto artifact = [](const FrontierResult& result) {
+    FrontierDocument doc;
+    doc.result = result;
+    doc.has_headline = compute_frontier_headline(result, "odom_slip_ramp",
+                                                 "club", doc.headline);
+    EXPECT_TRUE(doc.has_headline);
+    return frontier_to_json(doc).dump();
+  };
+  EXPECT_EQ(artifact(serial), artifact(parallel));
 }
 
 TEST(FrontierSearch, HeadlineComparesTheTwoLocalizers) {

@@ -64,7 +64,8 @@ TEST(LintCatalog, HasThePinnedRuleIds) {
       "rt-alloc",        "rt-lock",           "rt-io",
       "rt-throw",        "rt-marker",         "rng-stream-key",
       "hy-pragma-once",  "hy-using-namespace", "hy-printf",
-      "hy-bad-directive", "hy-unused-suppression", "hy-unreadable-file"};
+      "hy-lenient-parse", "hy-bad-directive", "hy-unused-suppression",
+      "hy-unreadable-file"};
   EXPECT_EQ(rule_catalog().size(), expected.size());
   std::set<std::string> seen;
   for (const RuleInfo& r : rule_catalog()) {
@@ -256,6 +257,21 @@ TEST(LintHygiene, PrintfFamilyFiresInSrcOnly) {
 
   for (const char* rel : {"tools/x.cpp", "tests/test_x.cpp", "bench/x.cpp"}) {
     EXPECT_EQ(count_rule(lint_fixture(rel, "hy_printf.cpp"), "hy-printf"), 0)
+        << rel;
+  }
+}
+
+TEST(LintHygiene, LenientParsesFireInSrcOnly) {
+  const FileReport bad = lint_fixture("src/io/x.cpp", "hy_parse_bad.cpp");
+  EXPECT_EQ(lines_with(bad, "hy-lenient-parse"), (IntVec{6, 10, 15, 15}))
+      << render_findings(bad.findings);
+  const FileReport good = lint_fixture("src/io/x.cpp", "hy_parse_good.cpp");
+  EXPECT_TRUE(good.findings.empty()) << render_findings(good.findings);
+
+  for (const char* rel : {"tools/x.cpp", "tests/test_x.cpp", "bench/x.cpp"}) {
+    EXPECT_EQ(count_rule(lint_fixture(rel, "hy_parse_bad.cpp"),
+                         "hy-lenient-parse"),
+              0)
         << rel;
   }
 }

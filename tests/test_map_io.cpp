@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <optional>
+#include <string>
 
 #include "common/rng.hpp"
 #include "gridmap/track_generator.hpp"
@@ -58,6 +61,27 @@ TEST_F(MapIoTest, RoundTripGeneratedTrack) {
 
 TEST_F(MapIoTest, LoadMissingFileFails) {
   EXPECT_FALSE(load_map("definitely_not_a_map").has_value());
+}
+
+// A malformed PGM header is a refusal, never an exception out of a function
+// that returns std::optional.
+TEST_F(MapIoTest, MalformedHeaderIsRefusedWithoutThrowing) {
+  ASSERT_TRUE(save_map(OccupancyGrid{4, 4, 0.05, Vec2{}}, stem_));
+  const auto load_with_header = [this](const char* header) {
+    {
+      std::ofstream pgm{stem_ + ".pgm", std::ios::binary};
+      pgm << header << std::string(16, '\xfe');
+    }
+    std::optional<OccupancyGrid> loaded;
+    EXPECT_NO_THROW(loaded = load_map(stem_)) << header;
+    return loaded;
+  };
+  EXPECT_TRUE(load_with_header("P5\n4 4\n255\n").has_value());
+  for (const char* header :
+       {"P5\nabc 4\n255\n", "P5\n99999999999 4\n255\n", "P5\n4x 4\n255\n",
+        "P5\n-4 4\n255\n", "P5\n4 4\n"}) {
+    EXPECT_FALSE(load_with_header(header).has_value()) << header;
+  }
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "eval/scenario_matrix.hpp"
 #include "eval/stack.hpp"
 #include "gridmap/track_generator.hpp"
+#include "replay_fixture.hpp"
 #include "telemetry/flight_recorder.hpp"
 
 namespace srl {
@@ -222,9 +223,14 @@ TEST_F(PostmortemPipeline, RecorderOffIsBitwiseNoOp) {
   ASSERT_EQ(off.size(), 1u);
 
   // Recorder on vs off: every physics-derived metric identical to the bit.
-  EXPECT_EQ(on[0].result.lateral_mean_cm, off[0].result.lateral_mean_cm);
-  EXPECT_EQ(on[0].result.lateral_std_cm, off[0].result.lateral_std_cm);
-  EXPECT_EQ(on[0].result.scan_alignment, off[0].result.scan_alignment);
+  EXPECT_TRUE(bitwise_equal(on[0].result.lateral_mean_cm,
+                            off[0].result.lateral_mean_cm));
+  EXPECT_TRUE(bitwise_equal(on[0].result.lateral_std_cm,
+                            off[0].result.lateral_std_cm));
+  EXPECT_TRUE(
+      bitwise_equal(on[0].result.pose_rmse_m, off[0].result.pose_rmse_m));
+  EXPECT_TRUE(bitwise_equal(on[0].result.scan_alignment,
+                            off[0].result.scan_alignment));
   EXPECT_EQ(on[0].result.crashed, off[0].result.crashed);
   EXPECT_EQ(on[0].divergence_episodes, off[0].divergence_episodes);
   EXPECT_EQ(on[0].recoveries, off[0].recoveries);
@@ -430,6 +436,17 @@ TEST(StackSpec, FromJsonRejectsBadRecipesWithAReason) {
       {"pf_seed", json::Value::number(0.5), "pf_seed"},
       {"fault_seed", json::Value::string("0xZZ"), "fault_seed"},
       {"fault_seed", json::Value::string("0x1234567890abcdef0"), "fault_seed"},
+      {"track", json::Value::string("frontier:00000000000000ff:5xyz"),
+       "unknown track recipe"},
+      {"track", json::Value::string("frontier:-1:0"), "unknown track recipe"},
+      {"track", json::Value::string("frontier:0x00000000000000ff:1"),
+       "unknown track recipe"},
+      {"track", json::Value::string("frontier:00000000000000ff:4294967301"),
+       "unknown track recipe"},
+      {"track", json::Value::string("oval:8,2.5xyz"), "unknown track recipe"},
+      {"track", json::Value::string("oval:inf,2.5"), "unknown track recipe"},
+      {"track", json::Value::string("oval:8,-2.5"), "unknown track recipe"},
+      {"track", json::Value::string("circuit"), "unknown track recipe"},
   };
   StackSpec enforced;
   enforced.governor = GovernorMode::kEnforce;

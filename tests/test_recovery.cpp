@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -18,6 +17,7 @@
 #include "range/ray_marching.hpp"
 #include "recovery/divergence_detector.hpp"
 #include "recovery/recovery_policy.hpp"
+#include "replay_fixture.hpp"
 #include "sensor/lidar_sim.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -318,9 +318,7 @@ TEST(RecoveryPolicy, GlobalRelocalizeIsDeterministic) {
   const auto rb = b.global_relocalize(scan, f.probe, wrong);
   ASSERT_TRUE(ra.has_value());
   ASSERT_TRUE(rb.has_value());
-  EXPECT_EQ(std::memcmp(&ra->x, &rb->x, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&ra->y, &rb->y, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&ra->theta, &rb->theta, sizeof(double)), 0);
+  EXPECT_TRUE(bitwise_equal(*ra, *rb));
 }
 
 // ---------------------------------------------------------------------------
@@ -366,8 +364,7 @@ TEST(RecoverySeams, InjectUniformZeroFractionIsAStrictNoOp) {
   const auto after = pf.filter().particles_snapshot();
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(
-        std::memcmp(&before[i].pose.x, &after[i].pose.x, sizeof(double)), 0);
+    EXPECT_TRUE(bitwise_equal(before[i].pose, after[i].pose)) << i;
     EXPECT_DOUBLE_EQ(before[i].weight, after[i].weight);
   }
   // No draw happened: the RNG stream is exactly where a fresh one starts.
@@ -423,9 +420,7 @@ TEST(RecoverySeams, SquashScaleOneIsTheBitwiseNominalPath) {
   };
   const Pose2 a = run(false);
   const Pose2 b = run(true);
-  EXPECT_EQ(std::memcmp(&a.x, &b.x, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.y, &b.y, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&a.theta, &b.theta, sizeof(double)), 0);
+  EXPECT_TRUE(bitwise_equal(a, b));
 }
 
 // ---------------------------------------------------------------------------
@@ -467,19 +462,7 @@ TEST(SupervisedLocalizer, PoliciesOffIsABitwiseNoOp) {
   SynPf inner{cfg, map, LidarConfig{}};
   recovery::SupervisedLocalizer sup{inner, off, map, LidarConfig{}};
   sup.bind_filter(&inner.filter());
-  const auto rs = oval_trace().replay(sup);
-
-  ASSERT_EQ(rb.estimates.size(), rs.estimates.size());
-  for (std::size_t i = 0; i < rb.estimates.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&rb.estimates[i].x, &rs.estimates[i].x,
-                          sizeof(double)),
-              0)
-        << "estimate " << i << " diverged";
-    EXPECT_EQ(std::memcmp(&rb.estimates[i].theta, &rs.estimates[i].theta,
-                          sizeof(double)),
-              0)
-        << "heading " << i << " diverged";
-  }
+  expect_bitwise_identical(rb, oval_trace().replay(sup));
 }
 
 /// Minimal scripted localizer: dead-reckons odometry from the initialized
